@@ -47,7 +47,6 @@ from repro.config import PaperSetup, paper_setup
 from repro.execution import (
     Backend,
     ExecutionContext,
-    ExecutionDeprecationWarning,
     available_backends,
     get_backend,
     register_backend,
@@ -108,7 +107,6 @@ __all__ = [
     # Execution configuration.
     "Backend",
     "ExecutionContext",
-    "ExecutionDeprecationWarning",
     "available_backends",
     "get_backend",
     "register_backend",

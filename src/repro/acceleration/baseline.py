@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.config import DEFAULT_NUM_RESTARTS, DEFAULT_TOLERANCE
-from repro.execution.context import UNSET, ContextLike, resolve_execution_context
+from repro.execution.context import ContextLike
 from repro.graphs.maxcut import MaxCutProblem
 from repro.optimizers.base import Optimizer
 from repro.qaoa.result import QAOAResult
@@ -73,8 +73,7 @@ class NaiveQAOARunner:
     Accepts the same oracle configuration as
     :class:`~repro.qaoa.solver.QAOASolver` — one
     :class:`~repro.execution.context.ExecutionContext` (``context=``),
-    including the stochastic finite-shot / noise knobs.  The legacy
-    ``backend=``/``shots=``/... kwargs survive behind the deprecation shim.
+    including the stochastic finite-shot / noise knobs.
     """
 
     def __init__(
@@ -86,23 +85,8 @@ class NaiveQAOARunner:
         tolerance: float = DEFAULT_TOLERANCE,
         max_iterations: int = 10000,
         candidate_pool: Optional[int] = None,
-        backend=UNSET,
-        shots=UNSET,
-        noise_model=UNSET,
-        trajectories=UNSET,
         seed: RandomState = None,
     ):
-        context = resolve_execution_context(
-            context,
-            {
-                "backend": backend,
-                "shots": shots,
-                "noise_model": noise_model,
-                "trajectories": trajectories,
-            },
-            owner="NaiveQAOARunner",
-            stacklevel=3,
-        )
         self._solver = QAOASolver(
             optimizer,
             context,

@@ -18,7 +18,7 @@ from repro.config import DEFAULT_NUM_RESTARTS, DEFAULT_TOLERANCE
 from repro.exceptions import ConfigurationError
 from repro.acceleration.baseline import NaiveQAOARunner
 from repro.acceleration.two_level import TwoLevelQAOARunner
-from repro.execution.context import UNSET, ContextLike, resolve_execution_context
+from repro.execution.context import ContextLike, as_execution_context
 from repro.graphs.maxcut import MaxCutProblem
 from repro.prediction.predictor import ParameterPredictor
 from repro.utils.rng import RandomState, ensure_rng
@@ -108,10 +108,6 @@ def compare_on_problem(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = 10000,
     candidate_pool: Optional[int] = None,
-    backend=UNSET,
-    shots=UNSET,
-    noise_model=UNSET,
-    trajectories=UNSET,
     seed: RandomState = None,
 ) -> ComparisonRecord:
     """Measure the naive and two-level flows on one problem instance.
@@ -124,20 +120,9 @@ def compare_on_problem(
     execution settings that produced it.  *candidate_pool* (optional)
     enables the solver's batched restart screening for both flows; it is
     accounted for in the function-call totals, so the comparison stays
-    apples-to-apples.  The legacy ``backend=``/``shots=``/... kwargs
-    survive behind the deprecation shim.
+    apples-to-apples.
     """
-    context = resolve_execution_context(
-        context,
-        {
-            "backend": backend,
-            "shots": shots,
-            "noise_model": noise_model,
-            "trajectories": trajectories,
-        },
-        owner="compare_on_problem",
-        stacklevel=3,
-    )
+    context = as_execution_context(context)
     rng = ensure_rng(seed)
     naive_runner = NaiveQAOARunner(
         optimizer,

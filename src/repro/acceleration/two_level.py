@@ -35,7 +35,7 @@ from typing import Optional, Union
 
 from repro.config import DEFAULT_TOLERANCE
 from repro.exceptions import ConfigurationError
-from repro.execution.context import UNSET, ContextLike, resolve_execution_context
+from repro.execution.context import ContextLike
 from repro.graphs.maxcut import MaxCutProblem
 from repro.optimizers.base import Optimizer
 from repro.prediction.pipeline import PredictorPipelineConfig, train_default_predictor
@@ -100,8 +100,7 @@ class TwoLevelQAOARunner:
     Accepts the same oracle configuration as
     :class:`~repro.qaoa.solver.QAOASolver` — one
     :class:`~repro.execution.context.ExecutionContext` (``context=``) —
-    shared by both levels.  The legacy ``backend=``/``shots=``/... kwargs
-    survive behind the deprecation shim.
+    shared by both levels.
     """
 
     def __init__(
@@ -114,23 +113,8 @@ class TwoLevelQAOARunner:
         tolerance: float = DEFAULT_TOLERANCE,
         max_iterations: int = 10000,
         candidate_pool: Optional[int] = None,
-        backend=UNSET,
-        shots=UNSET,
-        noise_model=UNSET,
-        trajectories=UNSET,
         seed: RandomState = None,
     ):
-        context = resolve_execution_context(
-            context,
-            {
-                "backend": backend,
-                "shots": shots,
-                "noise_model": noise_model,
-                "trajectories": trajectories,
-            },
-            owner="TwoLevelQAOARunner",
-            stacklevel=3,
-        )
         if not predictor.is_fitted:
             raise ConfigurationError(
                 "the parameter predictor must be fitted before building the runner"

@@ -335,22 +335,27 @@ class AnnealingSolver:
         Public because the service tier keys annealing jobs on the resolved
         schedule's canonical payload before the solve executes.
         """
+        if anneal_time is not None:
+            try:
+                anneal_time = float(anneal_time)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"anneal_time must be a number, got {anneal_time!r}"
+                ) from None
         if schedule is not None:
             if not isinstance(schedule, AnnealingSchedule):
                 raise ConfigurationError(
                     f"schedule must be an AnnealingSchedule, got "
                     f"{type(schedule).__name__}"
                 )
-            if anneal_time is not None and abs(
-                float(anneal_time) - schedule.total_time
-            ) > 1e-12:
+            if anneal_time is not None and abs(anneal_time - schedule.total_time) > 1e-12:
                 raise ConfigurationError(
                     f"anneal_time={anneal_time} contradicts the schedule's "
                     f"total_time={schedule.total_time}; pass one or the other"
                 )
             return schedule
         if anneal_time is not None:
-            return SmoothSchedule(float(anneal_time))
+            return SmoothSchedule(anneal_time)
         if self._schedule is not None:
             return self._schedule
         raise ConfigurationError(

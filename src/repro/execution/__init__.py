@@ -7,16 +7,10 @@ capability-tagged :class:`Backend` objects.  Every consumer —
 :class:`~repro.qaoa.cost.ExpectationEvaluator`,
 :class:`~repro.qaoa.solver.QAOASolver`, the acceleration runners, the
 experiment harness — accepts ``context=`` and threads the same object down
-unchanged; the legacy per-kwarg spelling survives behind a deprecation shim.
+unchanged.
 """
 
-from repro.execution.context import (
-    ExecutionContext,
-    ExecutionDeprecationWarning,
-    UNSET,
-    as_execution_context,
-    resolve_execution_context,
-)
+from repro.execution.context import ExecutionContext, as_execution_context
 from repro.execution.keys import (
     canonical_json,
     canonical_payload,
@@ -35,10 +29,7 @@ from repro.execution.registry import (
 
 __all__ = [
     "ExecutionContext",
-    "ExecutionDeprecationWarning",
-    "UNSET",
     "as_execution_context",
-    "resolve_execution_context",
     "Backend",
     "available_backends",
     "get_backend",

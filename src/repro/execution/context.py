@@ -21,11 +21,6 @@ immutable, serializable value object:
   included) so experiment records carry the exact execution settings that
   produced them.
 
-The legacy per-kwarg spelling keeps working through a thin deprecation shim
-(:func:`resolve_execution_context`): it constructs the equivalent context
-internally — bit-identical results, every seed path preserved — and emits
-one :class:`ExecutionDeprecationWarning` per construction.
-
 Examples
 --------
 >>> from repro.execution import ExecutionContext
@@ -41,43 +36,12 @@ True
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.exceptions import ConfigurationError
 from repro.execution.registry import available_backends, get_backend
 from repro.quantum.noise import DEFAULT_TRAJECTORIES, NoiseModel, ReadoutErrorModel
-
-
-class ExecutionDeprecationWarning(DeprecationWarning):
-    """Legacy per-kwarg execution configuration was used.
-
-    Emitted exactly once per construction by the deprecation shim when a
-    consumer passes ``backend=``/``shots=``/... instead of ``context=``.
-    The test-suite promotes this warning to an error outside the dedicated
-    shim tests (see ``[tool.pytest.ini_options]``), so internal code cannot
-    quietly keep using the legacy path.
-    """
-
-
-class _Unset:
-    """Sentinel distinguishing "not passed" from every real value."""
-
-    _instance: Optional["_Unset"] = None
-
-    def __new__(cls) -> "_Unset":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-#: Default value of every deprecated legacy kwarg: "the caller did not pass
-#: this" (``None`` is a meaningful value for most of them).
-UNSET = _Unset()
 
 ContextLike = Union[None, str, "ExecutionContext"]
 
@@ -337,36 +301,3 @@ def as_execution_context(context: ContextLike) -> ExecutionContext:
         f"context must be an ExecutionContext, a backend name, or None; "
         f"got {type(context).__name__}"
     )
-
-
-def resolve_execution_context(
-    context: ContextLike,
-    legacy: Dict[str, Any],
-    *,
-    owner: str,
-    stacklevel: int = 4,
-) -> ExecutionContext:
-    """The deprecation shim behind every ``context=`` constructor.
-
-    *legacy* maps legacy kwarg names to their received values, with
-    :data:`UNSET` marking "not passed".  When any legacy kwarg was supplied
-    the shim constructs the equivalent context (bit-identical semantics)
-    and emits exactly one :class:`ExecutionDeprecationWarning`; mixing
-    legacy kwargs with an explicit ``context=`` is a configuration error.
-    """
-    supplied = {key: value for key, value in legacy.items() if value is not UNSET}
-    if supplied:
-        if context is not None:
-            raise ConfigurationError(
-                f"{owner} received both context= and legacy execution kwargs "
-                f"({', '.join(sorted(supplied))}); pass everything through the context"
-            )
-        warnings.warn(
-            f"{owner}: passing {', '.join(sorted(supplied))} as keyword "
-            f"arguments is deprecated; pass "
-            f"context=ExecutionContext(...) instead",
-            ExecutionDeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return ExecutionContext(**supplied)
-    return as_execution_context(context)

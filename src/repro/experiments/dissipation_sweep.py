@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.execution.context import UNSET, ContextLike, resolve_execution_context
+from repro.execution.context import ContextLike, as_execution_context
 from repro.experiments.config import ExperimentConfig
 from repro.graphs.ensembles import erdos_renyi_ensemble
 from repro.graphs.maxcut import MaxCutProblem
@@ -96,7 +96,6 @@ def run_dissipation_sweep(
     rtol: float = 1e-7,
     atol: float = 1e-9,
     context: ContextLike = None,
-    backend=UNSET,
 ) -> DissipationSweepResult:
     """Sweep dissipation rates x anneal times on the continuous-time solver.
 
@@ -122,17 +121,10 @@ def run_dissipation_sweep(
         backend-name shorthand); the backend must advertise
         ``supports_continuous``.  Defaults to the gate-level ``"circuit"``
         backend.
-    backend:
-        **Deprecated** — legacy spelling of ``context="circuit"``.
     """
     from repro.dynamics import LINDBLAD_MAX_QUBITS, AnnealingSolver
 
-    base_context = resolve_execution_context(
-        "circuit" if context is None and backend is UNSET else context,
-        {"backend": backend},
-        owner="run_dissipation_sweep",
-        stacklevel=3,
-    )
+    base_context = as_execution_context("circuit" if context is None else context)
     if not dissipation_rates or not anneal_times:
         raise ConfigurationError("dissipation_rates and anneal_times must be non-empty")
     rates = [float(rate) for rate in dissipation_rates]

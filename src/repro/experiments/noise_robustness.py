@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.execution.context import UNSET, ContextLike, resolve_execution_context
+from repro.execution.context import ContextLike, as_execution_context
 from repro.experiments.config import ExperimentConfig
 from repro.graphs.ensembles import erdos_renyi_ensemble
 from repro.graphs.maxcut import MaxCutProblem
@@ -112,7 +112,6 @@ def run_noise_robustness(
     num_graphs: int = 3,
     trajectories: int = 4,
     context: ContextLike = None,
-    backend=UNSET,
     readout_error: Optional[ReadoutErrorModel] = None,
 ) -> NoiseRobustnessResult:
     """Sweep shot budgets x depolarizing strengths against the exact baseline.
@@ -140,9 +139,6 @@ def run_noise_robustness(
         :meth:`~repro.execution.context.ExecutionContext.replace`.  The
         sweep owns the ``shots`` / ``noise_model`` / ``trajectories`` /
         readout fields, so the base context must leave them unset.
-    backend:
-        **Deprecated** — legacy spelling of ``context="fast"`` /
-        ``context="circuit"``.
     readout_error:
         Optional :class:`~repro.quantum.noise.ReadoutErrorModel`.  When
         given, every (shots, strength) cell is solved twice — once with the
@@ -151,12 +147,7 @@ def run_noise_robustness(
         so the table exposes how much AR the mitigation recovers.  The model
         must cover ``config.num_nodes`` qubits.
     """
-    base_context = resolve_execution_context(
-        context,
-        {"backend": backend},
-        owner="run_noise_robustness",
-        stacklevel=3,
-    )
+    base_context = as_execution_context(context)
     if not base_context.is_exact or base_context.trajectories is not None:
         raise ConfigurationError(
             "run_noise_robustness sweeps shots/noise/trajectories/readout "

@@ -53,7 +53,6 @@ class KernelSVR(Regressor):
         tolerance: float = 1e-8,
         smoothing: float = 1e-3,
         normalize_targets: bool = True,
-        learning_rate: float = None,
     ):
         super().__init__()
         if C <= 0:
@@ -66,8 +65,6 @@ class KernelSVR(Regressor):
             raise ModelError("max_iterations must be positive")
         if smoothing <= 0:
             raise ModelError("smoothing must be positive")
-        if learning_rate is not None and learning_rate <= 0:
-            raise ModelError("learning_rate, when given, must be positive")
         self.C = float(C)
         self.epsilon = float(epsilon)
         self.length_scale = length_scale
@@ -75,9 +72,6 @@ class KernelSVR(Regressor):
         self.tolerance = float(tolerance)
         self.smoothing = float(smoothing)
         self.normalize_targets = bool(normalize_targets)
-        # Accepted for backwards compatibility with the sub-gradient trainer;
-        # the L-BFGS-B trainer does not need a step size.
-        self.learning_rate = learning_rate
 
         self._train_features: Optional[np.ndarray] = None
         self._dual_coefficients: Optional[np.ndarray] = None

@@ -16,7 +16,7 @@ from repro.qaoa.fast_backend import (
     walsh_hadamard_matrix,
 )
 from repro.qaoa.backends import CircuitBackend, FastBackend
-from repro.qaoa.cost import BACKENDS, ExpectationEvaluator
+from repro.qaoa.cost import ExpectationEvaluator
 from repro.qaoa.ensemble import EnsembleEvaluator
 from repro.qaoa.result import QAOAResult, RestartRecord
 from repro.qaoa.solver import QAOASolver
@@ -35,7 +35,6 @@ __all__ = [
     "FastMaxCutEvaluator",
     "fwht_inplace",
     "walsh_hadamard_matrix",
-    "BACKENDS",
     "FastBackend",
     "CircuitBackend",
     "ExpectationEvaluator",

@@ -75,10 +75,9 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.execution.context import (
-    UNSET,
     ContextLike,
     ExecutionContext,
-    resolve_execution_context,
+    as_execution_context,
 )
 from repro.execution.registry import get_backend
 from repro.graphs.maxcut import MaxCutProblem
@@ -91,10 +90,6 @@ from repro.quantum.noise import (
     split_shots,
 )
 from repro.utils.rng import RandomState, ensure_rng
-
-#: Names of the built-in backends (the registry is the source of truth; this
-#: tuple survives for backwards compatibility with pre-registry imports).
-BACKENDS = ("fast", "circuit")
 
 
 class ExpectationEvaluator:
@@ -116,11 +111,6 @@ class ExpectationEvaluator:
         Seed or generator driving shot sampling and trajectory noise.  A
         fixed seed makes every stochastic evaluation reproducible; when
         omitted, the context's ``seed`` policy applies.
-    backend, shots, noise_model, trajectories, density, readout_error, mitigate_readout:
-        **Deprecated** — the legacy kwarg spelling of the context fields.
-        Passing any of them builds the equivalent context internally
-        (bit-identical results) and emits one
-        :class:`~repro.execution.context.ExecutionDeprecationWarning`.
     """
 
     def __init__(
@@ -129,30 +119,10 @@ class ExpectationEvaluator:
         depth: int,
         context: ContextLike = None,
         *,
-        backend=UNSET,
-        shots=UNSET,
-        noise_model=UNSET,
-        trajectories=UNSET,
-        density=UNSET,
-        readout_error=UNSET,
-        mitigate_readout=UNSET,
         rng: RandomState = None,
         program=None,
     ):
-        context = resolve_execution_context(
-            context,
-            {
-                "backend": backend,
-                "shots": shots,
-                "noise_model": noise_model,
-                "trajectories": trajectories,
-                "density": density,
-                "readout_error": readout_error,
-                "mitigate_readout": mitigate_readout,
-            },
-            owner="ExpectationEvaluator",
-            stacklevel=3,
-        )
+        context = as_execution_context(context)
         if depth < 1:
             raise ConfigurationError(f"depth must be >= 1, got {depth}")
         if (

@@ -108,10 +108,6 @@ def walsh_hadamard_matrix(num_qubits: int) -> np.ndarray:
     return ((-1.0) ** (parity % 2)) / math.sqrt(size)
 
 
-# Backwards-compatible alias (pre-FWHT module layout).
-_walsh_hadamard_matrix = walsh_hadamard_matrix
-
-
 def _popcounts(dim: int) -> np.ndarray:
     """Popcount of every basis index ``0 .. dim-1`` as a float array."""
     indices = np.arange(dim)

@@ -47,10 +47,9 @@ import numpy as np
 from repro.config import DEFAULT_TOLERANCE
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.execution.context import (
-    UNSET,
     ContextLike,
     ExecutionContext,
-    resolve_execution_context,
+    as_execution_context,
 )
 from repro.execution.keys import compile_cache_key, solve_cache_key
 from repro.execution.registry import get_backend
@@ -129,11 +128,6 @@ class QAOASolver:
         every objective evaluation first checks the ``backend.evaluate``
         site, so chaos tests can fail (or delay) the oracle on an exact,
         replayable schedule.
-    backend, shots, noise_model, trajectories, density, readout_error, mitigate_readout:
-        **Deprecated** — the legacy kwarg spelling of the context fields.
-        Passing any of them builds the equivalent context internally
-        (bit-identical results) and emits one
-        :class:`~repro.execution.context.ExecutionDeprecationWarning`.
     """
 
     def __init__(
@@ -146,30 +140,10 @@ class QAOASolver:
         max_iterations: int = 10000,
         use_bounds: bool = False,
         candidate_pool: Optional[int] = None,
-        backend=UNSET,
-        shots=UNSET,
-        noise_model=UNSET,
-        trajectories=UNSET,
-        density=UNSET,
-        readout_error=UNSET,
-        mitigate_readout=UNSET,
         seed: RandomState = None,
         fault_injector=None,
     ):
-        context = resolve_execution_context(
-            context,
-            {
-                "backend": backend,
-                "shots": shots,
-                "noise_model": noise_model,
-                "trajectories": trajectories,
-                "density": density,
-                "readout_error": readout_error,
-                "mitigate_readout": mitigate_readout,
-            },
-            owner="QAOASolver",
-            stacklevel=3,
-        )
+        context = as_execution_context(context)
         if num_restarts < 1:
             raise ConfigurationError(f"num_restarts must be >= 1, got {num_restarts}")
         if candidate_pool is not None and candidate_pool < 1:

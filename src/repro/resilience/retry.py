@@ -1,10 +1,9 @@
 """Retry backoff policies with injectable sleep and seeded jitter.
 
-The service used to sleep ``retry_backoff * attempt`` between retries — a
-linear ramp that synchronises retry storms (every failed client retries on
-the same schedule) and wastes time on persistent failures.
-:class:`RetryPolicy` replaces it with capped exponential backoff plus
-jitter:
+A linear ``base * attempt`` ramp synchronises retry storms (every failed
+client retries on the same schedule) and wastes time on persistent
+failures.  :class:`RetryPolicy` spaces retries with capped exponential
+backoff plus jitter:
 
 * ``jitter="none"`` — pure exponential: ``base * multiplier**(attempt-1)``,
   capped at *cap*;
@@ -13,10 +12,7 @@ jitter:
   uniform in ``[base, previous * multiplier]``, capped, which spreads
   concurrent retriers apart without remembering global state.
 
-The **first** delay is always exactly *base* regardless of jitter mode, so
-the deprecated ``retry_backoff=`` service knob (whose first delay was
-``retry_backoff * 1``) maps onto ``RetryPolicy(base=retry_backoff)``
-bit-compatibly for the first attempt.
+The **first** delay is always exactly *base* regardless of jitter mode.
 
 Determinism: jitter draws come from a private seeded generator, and the
 sleep function is injectable, so retry schedules in tests are exact and
@@ -108,8 +104,7 @@ class RetryPolicy:
         if attempt < 1:
             raise ConfigurationError(f"attempt must be >= 1, got {attempt}")
         if attempt == 1:
-            # Exactly *base*: bit-compatible with the legacy linear backoff's
-            # first delay, and the anchor every jitter mode grows from.
+            # Exactly *base*: the anchor every jitter mode grows from.
             return self.base
         exponential = min(self.cap, self.base * self.multiplier ** (attempt - 1))
         if self.jitter == "none":
@@ -141,16 +136,6 @@ class RetryPolicy:
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
-    @classmethod
-    def from_legacy_backoff(cls, retry_backoff: float, **overrides) -> "RetryPolicy":
-        """The policy the deprecated ``retry_backoff=`` service knob maps to.
-
-        The first delay equals ``retry_backoff`` exactly (what the old
-        linear schedule slept before the first retry); later delays follow
-        the default capped exponential + decorrelated jitter.
-        """
-        return cls(base=float(retry_backoff), **overrides)
-
     @classmethod
     def no_delay(cls) -> "RetryPolicy":
         """A policy that never sleeps (tests, breaker-probe loops)."""

@@ -41,8 +41,7 @@ Reliability semantics (see ``docs/reliability.md`` for the full story):
 * **Transient failures** (:class:`~repro.exceptions.TransientServiceError`)
   are retried up to ``max_retries`` times under a
   :class:`~repro.resilience.retry.RetryPolicy` (capped exponential backoff
-  with decorrelated jitter; the deprecated ``retry_backoff=`` knob maps
-  onto the policy bit-compatibly for the first attempt).
+  with decorrelated jitter).
 * **Circuit breaking** — an optional
   :class:`~repro.resilience.breaker.CircuitBreaker` sheds jobs fast with
   :class:`~repro.exceptions.CircuitOpenError` while the backend is
@@ -96,6 +95,7 @@ from repro.execution.keys import (
 from repro.graphs.maxcut import MaxCutProblem
 from repro.qaoa.cost import ExpectationEvaluator
 from repro.qaoa.solver import QAOASolver
+from repro.quantum.operators import PauliSum
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.checkpoint import CheckpointSlot, CheckpointStore
 from repro.resilience.faults import FaultInjector
@@ -122,7 +122,7 @@ class _Job:
         work: Callable[[], Any],
         deadline: Optional[float],
         cacheable: bool,
-        backend: Optional[str] = None,
+        backend: Optional[str],
     ):
         self.handle = handle
         self.work = work
@@ -156,11 +156,6 @@ class SolverService:
         The :class:`~repro.resilience.retry.RetryPolicy` spacing those
         retries (default: capped exponential backoff with decorrelated
         jitter from a 0.05 s base).
-    retry_backoff:
-        **Deprecated** alias: ``retry_backoff=x`` builds
-        ``RetryPolicy.from_legacy_backoff(x)``, whose first delay equals the
-        old linear schedule's first delay exactly.  Mutually exclusive with
-        *retry_policy*.
     breaker:
         Optional :class:`~repro.resilience.breaker.CircuitBreaker` guarding
         the service's configured backend; open-state submissions fail fast
@@ -208,7 +203,6 @@ class SolverService:
         max_queue: Optional[int] = None,
         default_timeout: Optional[float] = None,
         max_retries: int = 1,
-        retry_backoff: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         breakers: Optional[Dict[str, CircuitBreaker]] = None,
@@ -231,19 +225,11 @@ class SolverService:
             raise ConfigurationError(f"max_retries must be >= 0, got {max_retries}")
         if max_queue is not None and max_queue < 1:
             raise ConfigurationError(f"max_queue must be >= 1, got {max_queue}")
-        if retry_policy is not None and retry_backoff is not None:
-            raise ConfigurationError(
-                "pass either retry_policy or the deprecated retry_backoff, not both"
-            )
         self._context = as_execution_context(context)
         self._clock = clock
         self._default_timeout = default_timeout
         self._max_retries = int(max_retries)
-        if retry_policy is None:
-            retry_policy = RetryPolicy.from_legacy_backoff(
-                0.05 if retry_backoff is None else float(retry_backoff)
-            )
-        self._retry_policy = retry_policy
+        self._retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.metrics = ServiceMetrics(clock=clock)
         # Breaker registry keyed by backend name.  The scalar ``breaker=``
         # guards the service's configured backend; ``breakers=`` registers
@@ -398,11 +384,12 @@ class SolverService:
         of the same job resume the same way.  The snapshot is deleted once
         the job completes.
         """
+        depth = _integer(depth, "depth")
         if depth < 1:
             raise ConfigurationError(f"depth must be >= 1, got {depth}")
         explicit_seed = seed is not None
         if explicit_seed:
-            seed = int(seed)
+            seed = _integer(seed, "seed")
         if checkpoint:
             if self._checkpoint_store is None:
                 raise ConfigurationError(
@@ -429,8 +416,6 @@ class SolverService:
             },
         )
         handle = JobHandle(key, self._clock)
-        self.metrics.job_submitted()
-
         run_seed = seed if explicit_seed else self._derive_seed()
 
         slot: Optional[CheckpointSlot] = None
@@ -458,44 +443,9 @@ class SolverService:
                 slot.delete()
             return result
 
-        deadline = None
-        effective_timeout = timeout if timeout is not None else self._default_timeout
-        if effective_timeout is not None:
-            deadline = handle.submitted_at + float(effective_timeout)
-
-        if explicit_seed:
-            cached = self.results.get(key)
-            if cached is not None:
-                handle.from_cache = True
-                handle._mark_completed(cached)
-                self.metrics.job_completed(latency=0.0, queue_wait=0.0, run_time=0.0)
-                return handle
-            # Attach to an identical in-flight job instead of re-running.
-            with self._state_lock:
-                if not self._accepting:
-                    raise ServiceError("service is shut down; submissions are closed")
-                primary = self._inflight.get(key)
-                if primary is not None:
-                    primary.attached.append(handle)
-                    handle.deduplicated = True
-                    self.metrics.job_deduplicated()
-                    return handle
-                job = _Job(
-                    handle, work, deadline, cacheable=True,
-                    backend=self._context.backend,
-                )
-                self._inflight[key] = job
-                self._enqueue_locked(job)
-            return handle
-
-        job = _Job(
-            handle, work, deadline, cacheable=False, backend=self._context.backend
+        return self._admit(
+            handle, work, self._context.backend, timeout, cacheable=explicit_seed
         )
-        with self._state_lock:
-            if not self._accepting:
-                raise ServiceError("service is shut down; submissions are closed")
-            self._enqueue_locked(job)
-        return handle
 
     def submit_callable(
         self,
@@ -509,31 +459,72 @@ class SolverService:
         a solve but bypasses both caches.  Useful for tests and for custom
         workloads that want the service's concurrency control.
         """
-        handle = JobHandle(None, self._clock)
-        self.metrics.job_submitted()
-        deadline = None
-        effective_timeout = timeout if timeout is not None else self._default_timeout
-        if effective_timeout is not None:
-            deadline = handle.submitted_at + float(effective_timeout)
-        job = _Job(
-            handle, work, deadline, cacheable=False, backend=self._context.backend
+        return self._admit(
+            JobHandle(None, self._clock),
+            work,
+            self._context.backend,
+            timeout,
+            cacheable=False,
         )
+
+    def _admit(
+        self,
+        handle: JobHandle,
+        work: Callable[[], Any],
+        backend: Optional[str],
+        timeout: Optional[float],
+        *,
+        cacheable: bool = True,
+    ) -> JobHandle:
+        """The one admission path behind every ``submit*`` method.
+
+        A cacheable job (keyed by ``handle.cache_key``) is first served from
+        the result cache, then attached to an identical in-flight job;
+        otherwise it is queued with its breaker *backend* and deadline.  A
+        refused submission raises before any job counter moves.
+        """
+        if timeout is None:
+            timeout = self._default_timeout
+        deadline = None
+        if timeout is not None:
+            try:
+                deadline = handle.submitted_at + float(timeout)
+            except (TypeError, ValueError):
+                raise ConfigurationError(
+                    f"timeout must be a number of seconds, got {timeout!r}"
+                ) from None
+        key = handle.cache_key
+        if cacheable:
+            cached = self.results.get(key)
+            if cached is not None:
+                handle.from_cache = True
+                handle._mark_completed(cached)
+                self.metrics.job_submitted()
+                self.metrics.job_completed(latency=0.0, queue_wait=0.0, run_time=0.0)
+                return handle
         with self._state_lock:
             if not self._accepting:
                 raise ServiceError("service is shut down; submissions are closed")
-            self._enqueue_locked(job)
+            primary = self._inflight.get(key) if cacheable else None
+            if primary is None and (
+                self._max_queue is not None and self._queued_jobs >= self._max_queue
+            ):
+                raise ServiceError(
+                    f"service queue is full ({self._max_queue} jobs); try again later"
+                )
+            self.metrics.job_submitted()
+            if primary is not None:
+                primary.attached.append(handle)
+                handle.deduplicated = True
+                self.metrics.job_deduplicated()
+                return handle
+            job = _Job(handle, work, deadline, cacheable, backend)
+            if cacheable:
+                self._inflight[key] = job
+            self._queued_jobs += 1
+            self.metrics.queue_depth_changed(1)
+            self._queue.put(job)
         return handle
-
-    def _enqueue_locked(self, job: _Job) -> None:
-        """Queue *job*; caller holds ``_state_lock``."""
-        if self._max_queue is not None and self._queued_jobs >= self._max_queue:
-            self._inflight.pop(job.handle.cache_key, None)
-            raise ServiceError(
-                f"service queue is full ({self._max_queue} jobs); try again later"
-            )
-        self._queued_jobs += 1
-        self.metrics.queue_depth_changed(1)
-        self._queue.put(job)
 
     # ------------------------------------------------------------------
     # Circuit jobs
@@ -575,6 +566,10 @@ class SolverService:
         from repro.frontend.ir import CircuitIR
         from repro.frontend.parser import parse_qasm
 
+        if not isinstance(observable, PauliSum):
+            raise ConfigurationError(
+                f"observable must be a PauliSum, got {type(observable).__name__}"
+            )
         if isinstance(source, str):
             source = parse_qasm(source, name=name or "qasm")
         if isinstance(source, CircuitIR):
@@ -604,35 +599,11 @@ class SolverService:
                 "parameters": _binding_payload(parameters),
             }
         )
-        handle = JobHandle(key, self._clock)
-        self.metrics.job_submitted()
-        deadline = None
-        effective_timeout = timeout if timeout is not None else self._default_timeout
-        if effective_timeout is not None:
-            deadline = handle.submitted_at + float(effective_timeout)
 
         def work() -> float:
             return evaluator.expectation(parameters)
 
-        cached = self.results.get(key)
-        if cached is not None:
-            handle.from_cache = True
-            handle._mark_completed(cached)
-            self.metrics.job_completed(latency=0.0, queue_wait=0.0, run_time=0.0)
-            return handle
-        with self._state_lock:
-            if not self._accepting:
-                raise ServiceError("service is shut down; submissions are closed")
-            primary = self._inflight.get(key)
-            if primary is not None:
-                primary.attached.append(handle)
-                handle.deduplicated = True
-                self.metrics.job_deduplicated()
-                return handle
-            job = _Job(handle, work, deadline, cacheable=True, backend="circuit")
-            self._inflight[key] = job
-            self._enqueue_locked(job)
-        return handle
+        return self._admit(JobHandle(key, self._clock), work, "circuit", timeout)
 
     # ------------------------------------------------------------------
     # Annealing jobs
@@ -704,35 +675,12 @@ class SolverService:
         key = anneal_cache_key(
             problem, resolved.payload(), options=solver.options_payload()
         )
-        handle = JobHandle(key, self._clock)
-        self.metrics.job_submitted()
-        self.metrics.anneal_submitted()
-        deadline = None
-        effective_timeout = timeout if timeout is not None else self._default_timeout
-        if effective_timeout is not None:
-            deadline = handle.submitted_at + float(effective_timeout)
 
         def work() -> Any:
             return solver.solve(problem, schedule=resolved)
 
-        cached = self.results.get(key)
-        if cached is not None:
-            handle.from_cache = True
-            handle._mark_completed(cached)
-            self.metrics.job_completed(latency=0.0, queue_wait=0.0, run_time=0.0)
-            return handle
-        with self._state_lock:
-            if not self._accepting:
-                raise ServiceError("service is shut down; submissions are closed")
-            primary = self._inflight.get(key)
-            if primary is not None:
-                primary.attached.append(handle)
-                handle.deduplicated = True
-                self.metrics.job_deduplicated()
-                return handle
-            job = _Job(handle, work, deadline, cacheable=True, backend=solver.backend)
-            self._inflight[key] = job
-            self._enqueue_locked(job)
+        handle = self._admit(JobHandle(key, self._clock), work, solver.backend, timeout)
+        self.metrics.anneal_submitted()
         return handle
 
     # ------------------------------------------------------------------
@@ -777,14 +725,12 @@ class SolverService:
             self._run_job(job)
 
     def _finish(self, job: _Job, result: Any = None, error: Optional[BaseException] = None) -> None:
-        """Fulfil the primary handle and every attached duplicate."""
-        if job.handle.cache_key is not None:
-            with self._state_lock:
+        """Drop *job* from the in-flight index, then fulfil its handle and
+        every attached duplicate (a cancelled handle stays cancelled)."""
+        with self._state_lock:
+            if job.cacheable:
                 self._inflight.pop(job.handle.cache_key, None)
-                attached = list(job.attached)
-        else:
-            attached = list(job.attached)
-        handles = [job.handle] + attached
+            handles = [job.handle] + job.attached
         for handle in handles:
             if error is None:
                 handle._mark_completed(result)
@@ -806,19 +752,15 @@ class SolverService:
             )
             return
         if not handle._mark_running():
-            # Cancelled while queued.
+            # Cancelled while queued.  Duplicates attached to it still expect
+            # an answer; fail them explicitly rather than leaving them hanging.
             self.metrics.job_cancelled()
-            with self._state_lock:
-                if handle.cache_key is not None:
-                    self._inflight.pop(handle.cache_key, None)
-                attached = list(job.attached)
-            # Duplicates attached to a cancelled primary still expect an
-            # answer; fail them explicitly rather than leaving them hanging.
-            error = ServiceError(
-                f"primary job {handle.job_id} for this submission was cancelled"
+            self._finish(
+                job,
+                error=ServiceError(
+                    f"primary job {handle.job_id} for this submission was cancelled"
+                ),
             )
-            for dup in attached:
-                dup._mark_failed(error)
             return
 
         queue_wait = (handle.started_at or now) - handle.submitted_at
@@ -916,14 +858,11 @@ class SolverService:
                 with self._state_lock:
                     self._queued_jobs -= 1
                 self.metrics.queue_depth_changed(-1)
-                if job.handle.cancel():
-                    self.metrics.job_cancelled()
-                with self._state_lock:
-                    if job.handle.cache_key is not None:
-                        self._inflight.pop(job.handle.cache_key, None)
-                error = ServiceError("service shut down before the job ran")
-                for dup in job.attached:
-                    dup._mark_failed(error)
+                # A queued job is pending or already cancelled by its client;
+                # either way it ends cancelled here and is counted once.
+                job.handle.cancel()
+                self.metrics.job_cancelled()
+                self._finish(job, error=ServiceError("service shut down before the job ran"))
         for _ in self._workers:
             self._queue.put(_SHUTDOWN)
         if wait:
@@ -942,6 +881,13 @@ class SolverService:
             f"SolverService(backend={self._context.backend!r}, "
             f"workers={len(self._workers)}, queue_depth={self.queue_depth})"
         )
+
+
+def _integer(value: Any, name: str) -> int:
+    """*value* as a Python ``int``; anything but an integer is a configuration error."""
+    if not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _vector_payload(parameters: Any) -> Optional[list]:

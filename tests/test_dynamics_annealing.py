@@ -127,6 +127,8 @@ class TestScheduleResolution:
     def test_no_time_source_raises(self, problem):
         with pytest.raises(ConfigurationError, match="anneal_time"):
             AnnealingSolver().solve(problem)
+        with pytest.raises(ConfigurationError, match="anneal_time"):
+            AnnealingSolver().solve(problem, "x")
 
     def test_bare_time_builds_smooth_ramp(self):
         resolved = AnnealingSolver().resolve_schedule(7.0, None)

@@ -310,7 +310,7 @@ class TestArtifactRecording:
 
 class TestContextIntegration:
     def test_evaluator_density_with_trajectories_raises(self):
-        """Satellite bugfix at the evaluator surface too (via the shim)."""
+        """The density-mode trajectories rule holds at the evaluator surface too."""
         problem = _problem()
         with pytest.raises(ConfigurationError, match="deterministic"):
             ExpectationEvaluator(

@@ -254,3 +254,18 @@ class TestDissipationSweep:
             sweep.row(0.5, 1.0)
         with pytest.raises(KeyError):
             sweep.best_anneal_time(0.7)
+
+
+class TestNoiseRobustness:
+    def test_rejects_non_exact_base_context(self):
+        from repro.execution import ExecutionContext
+        from repro.experiments.noise_robustness import run_noise_robustness
+
+        with pytest.raises(ConfigurationError, match="exact"):
+            run_noise_robustness(
+                ExperimentConfig(),
+                context=ExecutionContext(shots=8),
+                shot_budgets=(8,),
+                noise_strengths=(0.0,),
+                num_graphs=1,
+            )

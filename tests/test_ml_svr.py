@@ -55,8 +55,6 @@ class TestKernelSVR:
             KernelSVR(epsilon=-0.1)
         with pytest.raises(ModelError):
             KernelSVR(length_scale=0.0)
-        with pytest.raises(ModelError):
-            KernelSVR(learning_rate=0.0)
 
     def test_clone_preserves_settings(self):
         clone = KernelSVR(C=3.0, epsilon=0.2).clone()

@@ -23,7 +23,6 @@ PUBLIC_API_SNAPSHOT = sorted(
         # Execution configuration.
         "Backend",
         "ExecutionContext",
-        "ExecutionDeprecationWarning",
         "available_backends",
         "get_backend",
         "register_backend",

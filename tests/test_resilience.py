@@ -154,10 +154,6 @@ class TestRetryPolicy:
         policy = RetryPolicy.no_delay()
         assert policy.preview(4) == [0.0, 0.0, 0.0, 0.0]
 
-    def test_legacy_backoff_maps_bit_compatibly(self):
-        policy = RetryPolicy.from_legacy_backoff(0.07)
-        assert policy.delay(1) == 0.07
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             RetryPolicy(base=-1.0)

@@ -13,7 +13,9 @@ from repro.exceptions import (
     TransientServiceError,
 )
 from repro.execution import ExecutionContext
+from repro.frontend.library import circuit_source
 from repro.graphs import Graph, MaxCutProblem, erdos_renyi_graph
+from repro.resilience import RetryPolicy
 from repro.service import (
     JobStatus,
     LRUCache,
@@ -65,6 +67,35 @@ class TestJobLifecycle:
     def test_invalid_depth_rejected(self, service, problem):
         with pytest.raises(ConfigurationError):
             service.submit(problem, depth=0)
+
+    @pytest.mark.parametrize(
+        "submit",
+        [
+            pytest.param(lambda s, p: s.submit(p, "2"), id="depth-str"),
+            pytest.param(lambda s, p: s.submit(p, 1.5, seed=1), id="depth-float"),
+            pytest.param(lambda s, p: s.submit(p, 1, seed="a"), id="seed-str"),
+            pytest.param(
+                lambda s, p: s.submit_circuit(circuit_source("ghz"), None),
+                id="observable-none",
+            ),
+            pytest.param(
+                lambda s, p: s.submit_circuit(circuit_source("ghz"), "ZZ"),
+                id="observable-str",
+            ),
+            pytest.param(
+                lambda s, p: s.submit_callable(lambda: None, timeout="a"),
+                id="callable-timeout",
+            ),
+            pytest.param(
+                lambda s, p: s.submit_anneal(p, 1.0, timeout="a"), id="anneal-timeout"
+            ),
+            pytest.param(lambda s, p: s.submit_anneal(p, "x"), id="anneal-time"),
+        ],
+    )
+    def test_bad_input_raises_configuration_error(self, service, problem, submit):
+        with pytest.raises(ConfigurationError):
+            submit(service, problem)
+        assert service.metrics.to_dict()["jobs"]["submitted"] == 0
 
     def test_result_wait_timeout(self, service):
         release = threading.Event()
@@ -169,7 +200,9 @@ class TestRetries:
         with pytest.raises(TransientServiceError):
             handle.result(timeout=30)
 
-        svc = SolverService(max_workers=1, max_retries=3, retry_backoff=0.0)
+        svc = SolverService(
+            max_workers=1, max_retries=3, retry_policy=RetryPolicy.no_delay()
+        )
         try:
             attempts.clear()
             handle = svc.submit_callable(flaky)
@@ -391,6 +424,37 @@ class TestShutdown:
 
 
 class TestMetrics:
+    def test_refused_submissions_are_counted_nowhere(self, problem):
+        service = SolverService(max_workers=1, max_queue=1)
+        blocker = threading.Event()
+        running = threading.Event()
+
+        def occupy():
+            running.set()
+            blocker.wait(30)
+
+        admitted = [service.submit_callable(occupy)]
+        assert running.wait(5)
+        admitted.append(service.submit_callable(lambda: None))  # fills the queue
+        for refused in (
+            lambda: service.submit_callable(lambda: None),
+            lambda: service.submit(problem, depth=1, seed=0),
+            lambda: service.submit_anneal(problem, 1.0),
+        ):
+            with pytest.raises(ServiceError, match="full"):
+                refused()
+        blocker.set()
+        service.shutdown()
+        with pytest.raises(ServiceError, match="shut down"):
+            service.submit(problem, depth=1, seed=1)
+        for handle in admitted:
+            handle.result(timeout=30)
+        jobs = service.metrics.to_dict()["jobs"]
+        assert jobs["submitted"] == len(admitted)
+        assert jobs["anneals"] == 0
+        terminal = jobs["completed"] + jobs["failed"] + jobs["cancelled"]
+        assert jobs["submitted"] - (terminal + jobs["deduplicated"]) == 0
+
     def test_injectable_clock_latencies(self):
         clock = [0.0]
         metrics = ServiceMetrics(clock=lambda: clock[0])

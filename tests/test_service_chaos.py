@@ -111,10 +111,6 @@ class TestRetryUnderChaos:
         assert slept == [0.5]
         assert result.optimal_expectation == baseline.optimal_expectation
 
-    def test_retry_policy_and_legacy_backoff_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            SolverService(retry_policy=RetryPolicy.no_delay(), retry_backoff=0.1)
-
     def test_fault_metrics_counted_by_kind(self, problem):
         injector = FaultInjector(
             FaultPlan([Fault("worker.run", 0, "transient")]), sleep=NO_SLEEP
