@@ -16,7 +16,13 @@ usage pattern:
 Every measurement is appended to ``BENCH_service.json`` in the repository
 root together with the service's own ``ServiceMetrics.to_dict()`` snapshot
 (cache hit rates, p50/p99 latencies), so the performance trajectory is
-machine-readable from this PR on (CI uploads the file as an artifact).
+machine-readable (CI uploads the file as an artifact).
+
+The gates count the work that makes the service fast instead of timing it,
+so no host's speed can turn them red: an empty-plan
+:class:`~repro.resilience.FaultInjector` on the service is a pure call
+counter at ``worker.run`` (one per real solve) and ``backend.evaluate``
+(one per objective evaluation).  The speed-ups are recorded, not asserted.
 """
 
 import json
@@ -32,6 +38,7 @@ from repro.graphs.generators import erdos_renyi_graph
 from repro.graphs.maxcut import MaxCutProblem
 from repro.qaoa.cost import ExpectationEvaluator
 from repro.qaoa.solver import QAOASolver
+from repro.resilience import FaultInjector, FaultPlan
 from repro.service import SolverService
 
 _RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
@@ -87,7 +94,8 @@ def test_concurrent_submission_throughput(bench_smoke):
     serial_seconds = time.perf_counter() - start
 
     # Service: all submissions in flight at once.
-    with SolverService(max_workers=4) as service:
+    counter = FaultInjector(FaultPlan())
+    with SolverService(max_workers=4, fault_injector=counter) as service:
         start = time.perf_counter()
         handles = [
             service.submit(problem, depth, seed=seed) for problem, seed in workload
@@ -98,39 +106,37 @@ def test_concurrent_submission_throughput(bench_smoke):
 
     # Identical numbers, dramatically less work.
     assert service_values == serial_values
-    speedup = serial_seconds / service_seconds
     _RESULTS["concurrent_submissions"] = {
         "num_submissions": num_submissions,
         "num_unique_configurations": num_unique,
+        "real_solves": counter.operations("worker.run"),
         "serial_seconds": serial_seconds,
         "service_seconds": service_seconds,
-        "speedup": speedup,
+        "speedup": serial_seconds / service_seconds,
         "jobs": snapshot["jobs"],
         "result_cache": snapshot["caches"]["result"],
         "latency_p50_seconds": snapshot["latency"]["job_seconds"]["p50"],
         "latency_p99_seconds": snapshot["latency"]["job_seconds"]["p99"],
     }
     # Only `num_unique` real solves happened for `num_submissions` requests.
+    assert counter.operations("worker.run") == num_unique
     served_cheaply = (
         snapshot["jobs"]["deduplicated"] + snapshot["caches"]["result"]["hits"]
     )
-    assert served_cheaply >= num_submissions - num_unique
-    floor = 2.0 if bench_smoke else 5.0
-    assert speedup >= floor, (
-        f"coalesced throughput speedup {speedup:.1f}x below the {floor}x floor "
-        f"(serial {serial_seconds:.3f}s vs service {service_seconds:.3f}s)"
-    )
+    assert served_cheaply == num_submissions - num_unique
 
 
 def test_warm_result_cache_latency(bench_smoke):
-    """A warm resubmission must be at least 10x faster than the cold solve."""
+    """A warm resubmission is served without a single objective evaluation."""
     problem = MaxCutProblem(erdos_renyi_graph(8, 0.5, seed=31))
     depth = 1 if bench_smoke else 2
-    with SolverService(max_workers=2) as service:
+    counter = FaultInjector(FaultPlan())
+    with SolverService(max_workers=2, fault_injector=counter) as service:
         start = time.perf_counter()
         cold = service.submit(problem, depth, seed=5)
         cold_result = cold.result(timeout=300)
         cold_seconds = time.perf_counter() - start
+        cold_evaluations = counter.operations("backend.evaluate")
 
         warm_seconds = float("inf")
         for _ in range(5):
@@ -138,21 +144,20 @@ def test_warm_result_cache_latency(bench_smoke):
             warm = service.submit(problem, depth, seed=5)
             warm_result = warm.result(timeout=10)
             warm_seconds = min(warm_seconds, time.perf_counter() - start)
-        assert warm.from_cache
-        assert warm_result is cold_result
+            assert warm.from_cache
+            assert warm_result is cold_result
         hit_rate = service.metrics.to_dict()["caches"]["result"]["hit_rate"]
 
-    speedup = cold_seconds / warm_seconds
     _RESULTS["warm_result_cache"] = {
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
-        "speedup": speedup,
+        "speedup": cold_seconds / warm_seconds,
+        "cold_evaluations": cold_evaluations,
         "result_cache_hit_rate": hit_rate,
     }
-    assert speedup >= 10.0, (
-        f"warm cache hit only {speedup:.1f}x faster than the cold solve "
-        f"({warm_seconds * 1e6:.0f}us vs {cold_seconds * 1e3:.1f}ms)"
-    )
+    assert cold_evaluations == cold_result.num_function_calls > 0
+    assert counter.operations("backend.evaluate") == cold_evaluations
+    assert counter.operations("worker.run") == 1
 
 
 def test_expectation_coalescing_throughput(bench_smoke):

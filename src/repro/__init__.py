@@ -44,13 +44,7 @@ from repro.exceptions import (
     TransientServiceError,
 )
 from repro.config import PaperSetup, paper_setup
-from repro.execution import (
-    Backend,
-    ExecutionContext,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from repro.execution import ExecutionContext
 
 #: Lazily-resolved exports: attribute name -> providing module.  Modules on
 #: this map are only imported when the attribute is first touched, keeping
@@ -105,11 +99,7 @@ __all__ = [
     "compare",
     "serve",
     # Execution configuration.
-    "Backend",
     "ExecutionContext",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     # Problem construction.
     "Graph",
     "MaxCutProblem",

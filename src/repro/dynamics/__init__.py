@@ -19,8 +19,9 @@ clocked circuit:
   Hamiltonians;
 * :mod:`repro.dynamics.annealing` — :class:`AnnealingSolver`, the
   continuous-time sibling of :class:`~repro.qaoa.solver.QAOASolver`,
-  gated by the ``supports_continuous`` backend capability and runnable as
-  async :meth:`~repro.service.SolverService.submit_anneal` jobs.
+  run on the gate-level ``"circuit"`` backend (a ``"fast"`` context is
+  refused) and as async :meth:`~repro.service.SolverService.submit_anneal`
+  jobs.
 
 Quickstart
 ----------

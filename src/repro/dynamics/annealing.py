@@ -14,9 +14,9 @@ adiabatic theorem then predicts approximation ratio → 1 at long anneal
 times.  The solve is **seedless and deterministic** (no sampling, no
 optimiser restarts), reports the same payload shape as
 :class:`~repro.qaoa.result.QAOAResult` (optimal expectation, cut
-distribution, timing), and is gated by the backend registry's
-``supports_continuous`` capability so execution contexts negotiate it like
-every other workload.
+distribution, timing), and runs only on the gate-level ``"circuit"``
+backend: a context naming the MaxCut-specialised ``"fast"`` FWHT, which has
+no continuous-time path, is refused at construction.
 
 With ``dissipation`` set, the anneal runs as a Lindblad master equation on
 ``vec(rho)`` (register capped like the density oracle), modelling an open
@@ -45,7 +45,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.execution.context import ContextLike, ExecutionContext, as_execution_context
-from repro.execution.registry import get_backend
 from repro.graphs.maxcut import MaxCutProblem
 
 from repro.dynamics.generators import Hamiltonian
@@ -250,10 +249,8 @@ class AnnealingSolver:
         :class:`~repro.quantum.noise.NoiseModel` — the anneal then runs as
         a Lindblad master equation on the exact density path.
     context:
-        Execution context (or backend name); the backend must advertise
-        the ``supports_continuous`` capability, and ``supports_density``
-        too when *dissipation* is set.  Defaults to the gate-level
-        ``"circuit"`` backend.
+        Execution context (or backend name); its backend must be the
+        gate-level ``"circuit"`` engine, which is also the default.
     """
 
     def __init__(
@@ -288,17 +285,10 @@ class AnnealingSolver:
         resolved = as_execution_context(
             "circuit" if context is None else context
         )
-        backend = get_backend(resolved.backend)
-        if not getattr(backend, "supports_continuous", False):
+        if resolved.backend != "circuit":
             raise ConfigurationError(
-                f"backend {resolved.backend!r} does not support continuous-"
-                f"time evolution (supports_continuous=False); available "
-                f"capabilities: {backend.capabilities()}"
-            )
-        if dissipation is not None and not backend.supports_density:
-            raise ConfigurationError(
-                f"dissipative anneals need the exact density path, and "
-                f"backend {resolved.backend!r} has supports_density=False"
+                f"backend {resolved.backend!r} has no continuous-time "
+                f"evolution; anneals run on backend='circuit'"
             )
         self._context = resolved
         self._backend_name = resolved.backend

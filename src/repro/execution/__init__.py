@@ -1,13 +1,13 @@
-"""Execution layer: one context object + a backend registry for the oracle.
+"""Execution layer: one context object describing how the oracle runs.
 
 :class:`ExecutionContext` is the single way to describe *how* cost
-expectations are computed (backend, shots, noise, density, readout, seed
-policy); the :mod:`~repro.execution.registry` dispatches backend names to
-capability-tagged :class:`Backend` objects.  Every consumer —
+expectations are computed: which of the two engines (``"fast"``, the
+MaxCut-specialised FWHT, or ``"circuit"``, the compiled gate-level engine),
+shots, noise, density, readout and seed policy.  Every consumer —
 :class:`~repro.qaoa.cost.ExpectationEvaluator`,
 :class:`~repro.qaoa.solver.QAOASolver`, the acceleration runners, the
 experiment harness — accepts ``context=`` and threads the same object down
-unchanged.
+unchanged; :mod:`repro.qaoa.backends` compiles programs from it.
 """
 
 from repro.execution.context import ExecutionContext, as_execution_context
@@ -20,20 +20,10 @@ from repro.execution.keys import (
     solve_cache_key,
     stable_hash,
 )
-from repro.execution.registry import (
-    Backend,
-    available_backends,
-    get_backend,
-    register_backend,
-)
 
 __all__ = [
     "ExecutionContext",
     "as_execution_context",
-    "Backend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "canonical_json",
     "canonical_payload",
     "compile_cache_key",

@@ -9,11 +9,10 @@ experiment harness, with the validation rules re-implemented (or silently
 skipped) at each hop.  ``ExecutionContext`` collapses all of that into one
 immutable, serializable value object:
 
-* **validated once** at construction — capability negotiation against the
-  :mod:`~repro.execution.registry` (density needs a density-capable
-  backend, non-Pauli channels need the density oracle, mitigation needs a
-  readout model, density has no stochastic trajectories) with actionable
-  errors;
+* **validated once** at construction — the backend is one of the two
+  named engines, density runs only on ``"circuit"``, non-Pauli channels
+  need the density oracle, mitigation needs a readout model, density has no
+  stochastic trajectories — with actionable errors;
 * **passed everywhere** — every consumer accepts ``context=`` (an
   ``ExecutionContext``, or a backend-name shorthand such as ``"fast"``);
 * **recorded in artifacts** — :meth:`to_dict` / :meth:`from_dict`
@@ -36,14 +35,29 @@ True
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.exceptions import ConfigurationError
-from repro.execution.registry import available_backends, get_backend
 from repro.quantum.noise import DEFAULT_TRAJECTORIES, NoiseModel, ReadoutErrorModel
 
 ContextLike = Union[None, str, "ExecutionContext"]
+
+#: The two execution engines, compiled by :mod:`repro.qaoa.backends`: the
+#: gate-level circuit engine and the MaxCut-specialised FWHT.
+_BACKENDS = ("circuit", "fast")
+
+
+def _positive_count(value: Any, name: str) -> int:
+    """*value* as a Python ``int >= 1``; anything else is a configuration error."""
+    try:
+        count = operator.index(value)  # ints and NumPy integers, never 2.5 or "2"
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ConfigurationError(f"{name} must be >= 1, got {value}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -53,8 +67,8 @@ class ExecutionContext:
     Parameters
     ----------
     backend:
-        Name of a registered execution backend (see
-        :func:`~repro.execution.registry.available_backends`).
+        ``"fast"`` (the FWHT, default) or ``"circuit"`` (the compiled
+        gate-level engine), case-insensitive.
     shots:
         Finite shot budget per expectation evaluation (``None`` = exact
         readout).
@@ -67,8 +81,8 @@ class ExecutionContext:
         is attached).  Invalid in density mode — the density oracle applies
         channels exactly, there is nothing to sample.
     density:
-        Evaluate through the exact density-matrix oracle; requires a
-        backend with ``supports_density``.
+        Evaluate through the exact density-matrix oracle; requires
+        ``backend="circuit"``.
     readout_error:
         Optional :class:`~repro.quantum.noise.ReadoutErrorModel` corrupting
         the measured outcome distribution.
@@ -93,20 +107,19 @@ class ExecutionContext:
     seed: Any = None
 
     def __post_init__(self) -> None:
-        backend = get_backend(self.backend)  # raises for unknown names
-        object.__setattr__(self, "backend", backend.name)
+        backend = str(self.backend).strip().lower()
+        if backend not in _BACKENDS:
+            raise ConfigurationError(
+                f"unknown execution backend {self.backend!r}; "
+                f"available: {', '.join(_BACKENDS)}"
+            )
+        object.__setattr__(self, "backend", backend)
         if self.shots is not None:
-            shots = int(self.shots)
-            if shots < 1:
-                raise ConfigurationError(f"shots must be >= 1, got {self.shots}")
-            object.__setattr__(self, "shots", shots)
+            object.__setattr__(self, "shots", _positive_count(self.shots, "shots"))
         if self.trajectories is not None:
-            trajectories = int(self.trajectories)
-            if trajectories < 1:
-                raise ConfigurationError(
-                    f"trajectories must be >= 1, got {self.trajectories}"
-                )
-            object.__setattr__(self, "trajectories", trajectories)
+            object.__setattr__(
+                self, "trajectories", _positive_count(self.trajectories, "trajectories")
+            )
         noise_model = self.noise_model
         if noise_model is not None:
             if not isinstance(noise_model, NoiseModel):
@@ -125,21 +138,11 @@ class ExecutionContext:
             )
         object.__setattr__(self, "density", bool(self.density))
         object.__setattr__(self, "mitigate_readout", bool(self.mitigate_readout))
-        # Capability negotiation: once, here, with actionable errors —
-        # instead of ad-hoc string checks re-implemented at every layer.
         if self.density:
-            if not backend.supports_density:
-                supported = ", ".join(
-                    sorted(
-                        name
-                        for name, candidate in available_backends().items()
-                        if candidate.supports_density
-                    )
-                )
+            if backend != "circuit":
                 raise ConfigurationError(
                     f"density=True runs the exact density-matrix oracle, which "
-                    f"backend {backend.name!r} does not support; use one of: "
-                    f"{supported}"
+                    f"backend {backend!r} does not have; use backend='circuit'"
                 )
             if self.trajectories is not None:
                 raise ConfigurationError(
@@ -148,15 +151,11 @@ class ExecutionContext:
                     "to average; drop trajectories= (or drop density=True to "
                     "sample trajectories)"
                 )
-        if noise_model is not None and not backend.supports_noise:
-            raise ConfigurationError(
-                f"backend {backend.name!r} does not support gate-noise simulation"
-            )
         if noise_model is not None and not self.density and not noise_model.is_pauli_only:
             raise ConfigurationError(
                 "the noise model contains non-Pauli channels, which "
                 "trajectory sampling cannot represent; pass density=True "
-                "(on a density-capable backend) to evaluate them exactly"
+                "(with backend='circuit') to evaluate them exactly"
             )
         if self.mitigate_readout and self.readout_error is None:
             raise ConfigurationError(
@@ -249,6 +248,10 @@ class ExecutionContext:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutionContext":
         """Rebuild a context from :meth:`to_dict` output."""
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"an ExecutionContext payload must be a mapping, got {type(data).__name__}"
+            )
         noise_model = data.get("noise_model")
         readout_error = data.get("readout_error")
         return cls(

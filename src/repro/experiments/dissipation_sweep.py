@@ -118,9 +118,8 @@ def run_dissipation_sweep(
         Adaptive (RK45) integration tolerances of every solve.
     context:
         Base :class:`~repro.execution.context.ExecutionContext` (or a
-        backend-name shorthand); the backend must advertise
-        ``supports_continuous``.  Defaults to the gate-level ``"circuit"``
-        backend.
+        backend-name shorthand); its backend must be the gate-level
+        ``"circuit"`` engine, which is also the default.
     """
     from repro.dynamics import LINDBLAD_MAX_QUBITS, AnnealingSolver
 

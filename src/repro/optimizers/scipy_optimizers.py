@@ -59,7 +59,7 @@ class ScipyOptimizer(Optimizer):
         options.update(self._extra_options)
         return options
 
-    def _supports_bounds(self) -> bool:
+    def _accepts_bounds(self) -> bool:
         return self.method in ("L-BFGS-B", "SLSQP", "Nelder-Mead")
 
     def _minimize(
@@ -70,7 +70,7 @@ class ScipyOptimizer(Optimizer):
     ) -> OptimizationResult:
         options = self._scipy_options()
         kwargs = {}
-        if bounds is not None and self._supports_bounds():
+        if bounds is not None and self._accepts_bounds():
             kwargs["bounds"] = bounds
         tol = self._tolerance if self.method == "COBYLA" else None
         try:

@@ -1,17 +1,26 @@
-"""The built-in execution backends: ``fast`` (FWHT) and ``circuit`` (gates).
+"""The two execution engines: ``fast`` (FWHT) and ``circuit`` (compiled gates).
 
-Each backend is a :class:`~repro.execution.registry.Backend` — capability
-flags plus a :meth:`compile` that lowers one ``(problem, depth)`` pair into
-a *program* object with a uniform evaluation surface (exact scalar / batch
-expectations, exact probability rows, one-trajectory noisy probabilities,
-and — where supported — exact density-matrix probabilities).  The
-:class:`~repro.qaoa.cost.ExpectationEvaluator` drives programs exclusively
-through that surface, so adding an execution target (array-API/GPU kernels,
-a remote device) is a :func:`~repro.execution.registry.register_backend`
-call, not another wave of ``if backend == "fast"`` branches.
+:func:`compile_program` lowers one ``(problem, depth)`` pair into a
+*program* for the engine an :class:`~repro.execution.ExecutionContext`
+names, through :meth:`FastBackend.compile` or :meth:`CircuitBackend.compile`.
+The :class:`~repro.qaoa.cost.ExpectationEvaluator`, the solver's program
+LRU and the service's program cache all compile through it.  A program has
+one evaluation surface:
 
-Importing this module registers both backends; the registry also imports it
-lazily on first lookup, so ``repro.execution`` works stand-alone.
+- ``expectation(parameters)`` / ``expectation_batch(matrix)`` — exact
+  scalar and ``(batch,)`` expectations;
+- ``probabilities(parameters)`` / ``probability_rows(block)`` — exact
+  outcome distributions (batch-major rows for a parameter block);
+- ``noisy_probabilities(parameters, noise_model, rng)`` — one stochastic
+  Pauli-noise trajectory;
+- ``density_probabilities(parameters, noise_model)`` — the exact
+  density-matrix distribution (``"circuit"`` programs compiled with
+  ``density=True``).
+
+The compiled engine is the only trajectory sampler: the FWHT program
+delegates ``noisy_probabilities`` to a circuit program of the same problem
+and depth, so seeded ``"fast"`` and ``"circuit"`` contexts sample
+bit-identical trajectories.
 """
 
 from __future__ import annotations
@@ -20,8 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, SimulationError
-from repro.execution.registry import Backend, register_backend
+from repro.exceptions import ConfigurationError
 from repro.graphs.maxcut import MaxCutProblem
 from repro.qaoa.circuit_builder import build_parametric_qaoa_circuit
 from repro.qaoa.fast_backend import FAST_BACKEND_MAX_QUBITS, FastMaxCutEvaluator
@@ -35,8 +43,11 @@ from repro.utils.rng import RandomState
 class _FastProgram:
     """The MaxCut-specialised FWHT evaluator behind the program surface."""
 
-    def __init__(self, problem: MaxCutProblem):
+    def __init__(self, problem: MaxCutProblem, depth: int):
         self._evaluator = FastMaxCutEvaluator(problem)
+        self._depth = depth
+        # Built on the first noisy trajectory; exact paths never need it.
+        self._trajectory_program: Optional[_CircuitProgram] = None
 
     def expectation(self, parameters: QAOAParameters) -> float:
         return self._evaluator.expectation(parameters)
@@ -59,14 +70,13 @@ class _FastProgram:
         noise_model: NoiseModel,
         rng: RandomState,
     ) -> np.ndarray:
-        state = self._evaluator.noisy_statevector(parameters, noise_model, rng)
-        return state.probabilities()
-
-    def density_probabilities(self, parameters, noise_model):
-        raise SimulationError(
-            "the fast backend has no density-matrix oracle; "
-            "ExecutionContext validation should have rejected density=True"
-        )
+        # Two threads racing here may both build one; either serves.  The
+        # delegate accepts every register the FWHT does.
+        if self._trajectory_program is None:
+            self._trajectory_program = _CircuitProgram(
+                self._evaluator.problem, self._depth, max_qubits=FAST_BACKEND_MAX_QUBITS
+            )
+        return self._trajectory_program.noisy_probabilities(parameters, noise_model, rng)
 
 
 class _CircuitProgram:
@@ -75,7 +85,7 @@ class _CircuitProgram:
     The parametric QAOA circuit is built **once**; every evaluation re-binds
     the simulator's compiled program, and whole parameter batches run
     through vectorised ``(dim, batch)`` sweeps.  In density mode the same
-    circuit also drives the exact :class:`DensityMatrixSimulator` oracle.
+    circuit also drives the exact, PTM-compiled :class:`DensityMatrixSimulator`.
     """
 
     def __init__(
@@ -84,17 +94,16 @@ class _CircuitProgram:
         depth: int,
         *,
         density: bool = False,
-        ptm: bool = True,
+        max_qubits: Optional[int] = None,
     ):
-        self._simulator = StatevectorSimulator()
+        self._simulator = (
+            StatevectorSimulator() if max_qubits is None else StatevectorSimulator(max_qubits)
+        )
         self._density_simulator: Optional[DensityMatrixSimulator] = None
         if density:
             # Raises for registers beyond the density ceiling (~12 qubits)
-            # at construction instead of first evaluation.  ``ptm`` selects
-            # the compiled superoperator tier for noisy runs (the backend's
-            # ``supports_ptm`` capability); ``ptm=False`` keeps the
-            # per-instruction Kraus oracle.
-            self._density_simulator = DensityMatrixSimulator(compiled=ptm)
+            # at construction instead of first evaluation.
+            self._density_simulator = DensityMatrixSimulator()
             if problem.num_qubits > self._density_simulator.max_qubits:
                 raise ConfigurationError(
                     f"density=True is limited to "
@@ -157,39 +166,29 @@ class _CircuitProgram:
         return rho.probabilities()
 
 
-class FastBackend(Backend):
-    """The MaxCut-specialised FWHT backend (``"fast"``)."""
+class FastBackend:
+    """The MaxCut-specialised FWHT engine (``"fast"``)."""
 
-    name = "fast"
-    supports_density = False
-    supports_noise = True
-    supports_batch = True
-    max_qubits = FAST_BACKEND_MAX_QUBITS
-
-    def compile(self, problem: MaxCutProblem, depth: int, *, density: bool = False):
-        if density:
-            raise ConfigurationError(
-                "the fast backend cannot run the density-matrix oracle; "
-                "use backend='circuit'"
-            )
-        return _FastProgram(problem)
+    def compile(self, problem: MaxCutProblem, depth: int) -> _FastProgram:
+        return _FastProgram(problem, depth)
 
 
-class CircuitBackend(Backend):
-    """The compiled gate-level circuit backend (``"circuit"``)."""
+class CircuitBackend:
+    """The compiled gate-level circuit engine (``"circuit"``)."""
 
-    name = "circuit"
-    supports_density = True
-    supports_noise = True
-    supports_ptm = True
-    supports_batch = True
-    supports_ingest = True  # runs arbitrary repro.frontend-imported circuits
-    supports_continuous = True  # hosts repro.dynamics Schrödinger/Lindblad evolution
-    max_qubits = None  # limited by memory (and ~12 qubits in density mode)
-
-    def compile(self, problem: MaxCutProblem, depth: int, *, density: bool = False):
-        return _CircuitProgram(problem, depth, density=density, ptm=self.supports_ptm)
+    def compile(
+        self, problem: MaxCutProblem, depth: int, *, density: bool = False
+    ) -> _CircuitProgram:
+        return _CircuitProgram(problem, depth, density=density)
 
 
-register_backend(FastBackend())
-register_backend(CircuitBackend())
+def compile_program(problem: MaxCutProblem, depth: int, context):
+    """The program for ``(problem, depth)`` on the engine *context* names.
+
+    *context* is a validated :class:`~repro.execution.ExecutionContext`:
+    its backend is one of the two names, and ``density=True`` comes only
+    with ``"circuit"``.
+    """
+    if context.backend == "circuit":
+        return CircuitBackend().compile(problem, int(depth), density=context.density)
+    return FastBackend().compile(problem, int(depth))

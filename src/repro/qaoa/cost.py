@@ -5,8 +5,8 @@ given a flat parameter vector it returns the cost expectation
 ``<psi(gamma, beta)| H_C |psi(gamma, beta)>``.  *How* that expectation is
 computed — backend, shot budget, gate noise, density mode, readout errors —
 is described by one :class:`~repro.execution.context.ExecutionContext`
-object, dispatched through the backend registry of
-:mod:`repro.execution.registry`:
+object, whose backend names one of the two engines of
+:mod:`repro.qaoa.backends`:
 
 * ``"fast"`` (default) — the MaxCut-specialised
   :class:`~repro.qaoa.fast_backend.FastMaxCutEvaluator`;
@@ -25,7 +25,9 @@ Pauli-trajectories), and **readout assignment errors**
 (``readout_error=...`` corrupts the measured distribution, optionally undone
 by ``mitigate_readout=True`` confusion-matrix inversion).  All knobs work on
 both backends, are deterministic for a seeded ``rng``, and leave the default
-configuration bit-identical to the exact evaluator.
+configuration bit-identical to the exact evaluator.  Noise trajectories
+always run on the compiled circuit engine (the FWHT program delegates them),
+so a seeded noisy evaluation returns the same bits on either backend.
 
 ``density=True`` (circuit backend only) swaps the trajectory sampler for the
 exact density-matrix oracle of :mod:`repro.quantum.density`: gate noise is
@@ -79,8 +81,8 @@ from repro.execution.context import (
     ExecutionContext,
     as_execution_context,
 )
-from repro.execution.registry import get_backend
 from repro.graphs.maxcut import MaxCutProblem
+from repro.qaoa.backends import compile_program
 from repro.qaoa.parameters import QAOAParameters
 from repro.quantum.engine import BATCH_ELEMENT_BUDGET
 from repro.quantum.noise import (
@@ -105,8 +107,7 @@ class ExpectationEvaluator:
         An :class:`~repro.execution.context.ExecutionContext` describing how
         expectations are computed, or a backend-name shorthand such as
         ``"circuit"`` (``None`` = the exact default context).  The context is
-        validated once at construction: capability negotiation against the
-        backend registry replaces the ad-hoc per-layer checks.
+        validated once, at its own construction.
     rng:
         Seed or generator driving shot sampling and trajectory noise.  A
         fixed seed makes every stochastic evaluation reproducible; when
@@ -152,15 +153,11 @@ class ExpectationEvaluator:
                     readout_error=context.readout_error,
                     mitigate_readout=context.mitigate_readout,
                 )
-        # Capability negotiation happened in the context; compilation is one
-        # registry dispatch, never a string comparison.  A pre-compiled
-        # *program* (same problem/depth/backend/density) skips the dispatch
-        # entirely — the solver and the service tier use this to share one
-        # compiled program across evaluators and worker threads.
+        # A pre-compiled *program* (same problem/depth/backend/density)
+        # skips compilation — the solver and the service tier use this to
+        # share one compiled program across evaluators and worker threads.
         if program is None:
-            program = get_backend(context.backend).compile(
-                problem, self._depth, density=context.density
-            )
+            program = compile_program(problem, self._depth, context)
         self._program = program
         self._num_evaluations = 0
         self._trajectories_run = 0

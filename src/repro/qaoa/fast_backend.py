@@ -38,9 +38,7 @@ from repro.exceptions import SimulationError
 from repro.graphs.maxcut import MaxCutProblem
 from repro.qaoa.parameters import QAOAParameters
 from repro.quantum.engine import BATCH_ELEMENT_BUDGET
-from repro.quantum.noise import NoiseModel, apply_pauli
 from repro.quantum.statevector import Statevector
-from repro.utils.rng import RandomState, ensure_rng
 
 #: Default qubit ceiling of the FWHT backend.  The limiting resource is the
 #: ``O(2^n)`` amplitude buffer (1 GiB of complex128 at n = 26), not compute.
@@ -150,8 +148,6 @@ class FastMaxCutEvaluator:
         # (the service tier shares compiled programs across worker threads):
         # each thread gets its own amplitude vector and FWHT scratch.
         self._buffers = threading.local()
-        # Equivalent-circuit gate streams for gate-attached noise sampling.
-        self._noise_streams = None
 
     def _scratch_for(self, min_elements: int) -> np.ndarray:
         """This thread's FWHT scratch buffer, grown to *min_elements*."""
@@ -257,68 +253,6 @@ class FastMaxCutEvaluator:
         self._evolve_inplace(
             amplitudes, np.asarray(parameters.gammas), np.asarray(parameters.betas)
         )
-        return Statevector(amplitudes, copy=False, validate=False)
-
-    def _gate_streams(self):
-        """The circuit-level gate streams the FWHT evolution coarse-grains.
-
-        The fast backend never materialises gates, but gate-attached noise
-        needs the gate stream of the *equivalent circuit* (the one
-        :func:`~repro.qaoa.circuit_builder.build_parametric_qaoa_circuit`
-        builds: H wall, then per stage a CX·RZ·CX sandwich per edge and an RX
-        per qubit) to sample error patterns that match the circuit backend
-        draw for draw.
-        """
-        if self._noise_streams is None:
-            qubits = range(self._num_qubits)
-            cost_stream = []
-            for u, v, _weight in self._problem.graph.edges:
-                cost_stream += [("cx", (u, v)), ("rz", (v,)), ("cx", (u, v))]
-            self._noise_streams = (
-                [("h", (q,)) for q in qubits],
-                cost_stream,
-                [("rx", (q,)) for q in qubits],
-            )
-        return self._noise_streams
-
-    def noisy_statevector(
-        self,
-        parameters,
-        noise_model: NoiseModel,
-        rng: RandomState = None,
-    ) -> Statevector:
-        """One stochastic Pauli-noise trajectory of the QAOA evolution.
-
-        Errors are sampled from *noise_model* against the equivalent
-        gate-level streams (see :meth:`_gate_streams`) and inserted at the
-        layer boundaries: after the initial superposition (the H wall), after
-        each cost layer, and after each mixing layer — the same fused-segment
-        placement the compiled circuit engine uses, so with a shared *rng*
-        the two backends produce the same trajectory.  Averaging
-        expectations over trajectories converges to the Pauli-channel
-        density-matrix result.
-        """
-        if not isinstance(parameters, QAOAParameters):
-            parameters = QAOAParameters.from_vector(np.asarray(parameters, dtype=float))
-        generator = ensure_rng(rng)
-        h_stream, cost_stream, mix_stream = self._gate_streams()
-
-        amplitudes = np.full(self._dim, 1.0 / math.sqrt(self._dim), dtype=complex)
-        scratch = self._scratch_for(self._dim // 2)
-
-        def insert_errors(stream) -> None:
-            for _index, qubit, pauli in noise_model.sample_errors(stream, generator):
-                apply_pauli(amplitudes, qubit, pauli)
-
-        insert_errors(h_stream)
-        inv_dim = 1.0 / self._dim
-        for gamma, beta in zip(parameters.gammas, parameters.betas):
-            amplitudes *= np.exp(-1j * self._cost_diagonal * gamma)
-            insert_errors(cost_stream)
-            fwht_inplace(amplitudes, scratch)
-            amplitudes *= np.exp(-1j * self._mixer_diagonal * beta) * inv_dim
-            fwht_inplace(amplitudes, scratch)
-            insert_errors(mix_stream)
         return Statevector(amplitudes, copy=False, validate=False)
 
     def statevector_batch(self, params_matrix: ParameterBatch) -> np.ndarray:

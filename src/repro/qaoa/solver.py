@@ -38,8 +38,6 @@ True
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -52,11 +50,11 @@ from repro.execution.context import (
     as_execution_context,
 )
 from repro.execution.keys import compile_cache_key, solve_cache_key
-from repro.execution.registry import get_backend
 from repro.graphs.maxcut import MaxCutProblem
 from repro.optimizers.base import Optimizer
 from repro.optimizers.registry import get_optimizer
 from repro.optimizers.spsa import SPSAOptimizer
+from repro.qaoa.backends import compile_program
 from repro.qaoa.cost import ExpectationEvaluator
 from repro.qaoa.parameters import QAOAParameters, parameter_bounds, random_parameters
 from repro.qaoa.result import QAOAResult, RestartRecord
@@ -68,6 +66,7 @@ from repro.resilience.checkpoint import (
     capture_rng_state,
     restore_rng_state,
 )
+from repro.utils.lru import LRUCache
 from repro.utils.rng import RandomState, as_optional_seed, ensure_rng
 
 InitialParameters = Union[None, QAOAParameters, Sequence[float]]
@@ -193,8 +192,7 @@ class QAOASolver:
         # optimizer-comparison loops, the service tier — reuse the backend
         # program instead of re-deriving cost diagonals / recompiling the
         # parametric circuit on every solve() call.
-        self._program_cache: "OrderedDict[str, object]" = OrderedDict()
-        self._program_cache_lock = threading.Lock()
+        self._program_cache = LRUCache(self._PROGRAM_CACHE_CAPACITY)
 
     _PROGRAM_CACHE_CAPACITY = 32
 
@@ -202,25 +200,17 @@ class QAOASolver:
         """The cached compiled backend program for ``(problem, depth)``.
 
         Keyed on graph content, so structurally equal problem objects share
-        one program.  Thread-safe: the lock covers only cache bookkeeping;
-        two threads racing on a cold key may both compile (one result wins
-        the slot), which duplicates work but never corrupts state.
+        one program.  Thread-safe: the cache locks only its bookkeeping; two
+        threads racing on a cold key may both compile (one result wins the
+        slot), which duplicates work but never corrupts state.
         """
         if depth < 1:
             raise ConfigurationError(f"depth must be >= 1, got {depth}")
         key = compile_cache_key(problem, depth, self._context)
-        with self._program_cache_lock:
-            program = self._program_cache.get(key)
-            if program is not None:
-                self._program_cache.move_to_end(key)
-                return program
-        program = get_backend(self._context.backend).compile(
-            problem, int(depth), density=self._context.density
-        )
-        with self._program_cache_lock:
-            self._program_cache[key] = program
-            if len(self._program_cache) > self._PROGRAM_CACHE_CAPACITY:
-                self._program_cache.popitem(last=False)
+        program = self._program_cache.get(key)
+        if program is None:
+            program = compile_program(problem, depth, self._context)
+            self._program_cache.put(key, program)
         return program
 
     # ------------------------------------------------------------------

@@ -1120,9 +1120,8 @@ class NoiseModel:
         ``(name, qubits)`` tuples.  For each operation, every matching rule
         draws one uniform per targeted qubit, in rule order; the resulting
         pattern is a list of :data:`PauliError` triples sorted by operation
-        index.  The draw order is a function of the model and the stream
-        alone, so two backends sampling the same stream from the same
-        generator see identical error patterns.
+        index.  The draw order depends only on the model and the stream, so
+        the same stream and generator state always give the same pattern.
         """
         if not self._rules:
             return []

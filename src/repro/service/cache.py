@@ -17,63 +17,20 @@ Two levels, mirroring what is expensive at each layer:
   of the same problem legitimately produce different optimization runs, and
   serving a cached one would silently change semantics.
 
-Both wrap the same bounded :class:`LRUCache`; hit/miss accounting flows into
+Both wrap the same bounded :class:`~repro.utils.lru.LRUCache` (the one the
+solver's program cache uses); hit/miss accounting flows into
 :class:`~repro.service.metrics.ServiceMetrics` when one is attached.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Any, Optional, Tuple
 
-from repro.exceptions import ConfigurationError
 from repro.execution.keys import compile_cache_key, solve_cache_key
-from repro.execution.registry import get_backend
+from repro.qaoa.backends import compile_program
+from repro.utils.lru import LRUCache
 
 __all__ = ["LRUCache", "ProgramCache", "ResultCache"]
-
-_MISSING = object()
-
-
-class LRUCache:
-    """A bounded, thread-safe least-recently-used mapping."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigurationError(f"cache capacity must be >= 1, got {capacity}")
-        self._capacity = int(capacity)
-        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        """The cached value for *key* (refreshing recency), else *default*."""
-        with self._lock:
-            value = self._entries.get(key, _MISSING)
-            if value is _MISSING:
-                return default
-            self._entries.move_to_end(key)
-            return value
-
-    def put(self, key: Any, value: Any) -> None:
-        """Insert or refresh *key*, evicting the least-recent entry if full."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
 
 class ProgramCache:
@@ -97,10 +54,7 @@ class ProgramCache:
         """The ``(compile_key, program)`` pair for this solve configuration."""
         key = compile_cache_key(problem, depth, context)
         return key, self.get_or_create(
-            key,
-            lambda: get_backend(context.backend).compile(
-                problem, int(depth), density=context.density
-            ),
+            key, lambda: compile_program(problem, depth, context)
         )
 
     def get_or_create(self, key: str, factory) -> Any:

@@ -635,8 +635,8 @@ class SolverService:
         submissions.  The shared :class:`~repro.dynamics.AnnealingSolver`
         is reused through the program cache, keyed on its options.  The
         *context* (default: the gate-level ``"circuit"`` backend, the only
-        built-in advertising ``supports_continuous``) selects the circuit
-        breaker gating the job — see the ``breakers=`` knob.
+        one with continuous-time evolution) selects the circuit breaker
+        gating the job — see the ``breakers=`` knob.
 
         *dissipation* switches the anneal to a Lindblad master equation
         (a rate, a ``{jump: rate}`` mapping, or a

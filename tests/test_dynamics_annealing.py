@@ -1,6 +1,5 @@
-"""AnnealingSolver: adiabatic convergence, capability gating, payloads."""
+"""AnnealingSolver: adiabatic convergence, backend gating, payloads."""
 
-import numpy as np
 import pytest
 
 from repro.dynamics import (
@@ -137,7 +136,7 @@ class TestScheduleResolution:
 
 class TestCapabilityGating:
     def test_fast_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="supports_continuous"):
+        with pytest.raises(ConfigurationError, match="continuous-time"):
             AnnealingSolver(context="fast")
 
     def test_context_object_accepted(self):

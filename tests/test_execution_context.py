@@ -1,23 +1,16 @@
-"""Tests for :mod:`repro.execution`: the context object and backend registry.
+"""Tests for :mod:`repro.execution`: the context object.
 
 Covers construction-time validation (the single home of the rules formerly
-re-implemented at every layer), capability negotiation against the registry,
-``to_dict``/``from_dict`` round-trips including noise and readout models,
-and the informative ``__repr__`` satellite.
+re-implemented at every layer), the two backend names, ``to_dict``/
+``from_dict`` round-trips including noise and readout models, and the
+informative ``__repr__`` satellite.
 """
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.execution import (
-    Backend,
-    ExecutionContext,
-    as_execution_context,
-    available_backends,
-    get_backend,
-    register_backend,
-)
+from repro.execution import ExecutionContext, as_execution_context
 from repro.graphs.generators import erdos_renyi_graph
 from repro.graphs.maxcut import MaxCutProblem
 from repro.qaoa.cost import ExpectationEvaluator
@@ -39,73 +32,40 @@ def _problem(seed: int = 3, nodes: int = 6) -> MaxCutProblem:
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# Backend names
 # ---------------------------------------------------------------------------
 
 class TestBackendRegistry:
-    def test_builtins_registered_with_capabilities(self):
-        backends = available_backends()
-        assert set(backends) >= {"fast", "circuit"}
-        fast, circuit = backends["fast"], backends["circuit"]
-        assert not fast.supports_density and circuit.supports_density
-        assert fast.supports_noise and circuit.supports_noise
-        assert fast.supports_batch and circuit.supports_batch
-        assert fast.max_qubits == 26 and circuit.max_qubits is None
+    """The two engines are a closed set of names, checked by the context."""
 
-    def test_get_backend_is_case_insensitive(self):
-        assert get_backend("FAST") is get_backend("fast")
-        assert get_backend(" circuit ").name == "circuit"
+    def test_backend_name_is_case_insensitive(self):
+        assert ExecutionContext(backend="FAST").backend == "fast"
+        assert ExecutionContext(backend=" Circuit ").backend == "circuit"
+        assert ExecutionContext(backend="FAST") == ExecutionContext()
 
     def test_unknown_backend_lists_available(self):
-        with pytest.raises(ConfigurationError, match="circuit"):
-            get_backend("gpu")
+        with pytest.raises(ConfigurationError, match="available: circuit, fast"):
+            ExecutionContext(backend="gpu")
 
     def test_unknown_backend_error_points_at_available_backends(self):
-        # The message must both enumerate the registered names and point to
-        # the discovery helper, so a typo is self-diagnosing.
+        # The message must name the rejected value and enumerate exactly the
+        # names the constructor accepts, so a typo is self-diagnosing.
         with pytest.raises(ConfigurationError) as excinfo:
-            get_backend("gpu")
+            ExecutionContext(backend="gpu")
         message = str(excinfo.value)
-        for name in available_backends():
-            assert name in message
-        assert "available_backends" in message
+        assert "'gpu'" in message
+        listed = message.split("available: ", 1)[1].split(", ")
+        assert sorted(listed) == ["circuit", "fast"]
+        for name in listed:
+            assert ExecutionContext(backend=name).backend == name
 
     def test_unknown_backend_rejected_at_context_construction(self):
-        with pytest.raises(ConfigurationError, match="available_backends"):
-            ExecutionContext(backend="not-a-backend")
-
-    def test_continuous_capability_flags(self):
-        backends = available_backends()
-        assert backends["circuit"].supports_continuous
-        assert not backends["fast"].supports_continuous
-        assert "supports_continuous" in get_backend("circuit").capabilities()
-        assert "continuous" in repr(get_backend("circuit"))
-
-    def test_register_backend_rejects_duplicates_and_junk(self):
-        with pytest.raises(ConfigurationError):
-            register_backend(object())
-        with pytest.raises(ConfigurationError):
-            register_backend(type(get_backend("fast"))())  # name "fast" taken
-
-    def test_custom_backend_round_trip(self):
-        class EchoBackend(Backend):
-            name = "echo-test"
-            supports_noise = False
-            supports_batch = False
-
-            def compile(self, problem, depth, *, density=False):
-                raise NotImplementedError
-
-        backend = register_backend(EchoBackend())
-        try:
-            assert get_backend("echo-test") is backend
-            assert ExecutionContext(backend="echo-test").backend == "echo-test"
-            assert "echo-test" in repr(backend)
-        finally:
-            # Keep the global registry clean for other tests.
-            from repro.execution import registry
-
-            registry._REGISTRY.pop("echo-test")
+        # The backend-name shorthand and a persisted payload go through the
+        # same constructor check.
+        with pytest.raises(ConfigurationError, match="unknown execution backend"):
+            as_execution_context("not-a-backend")
+        with pytest.raises(ConfigurationError, match="unknown execution backend"):
+            ExecutionContext.from_dict({"backend": "not-a-backend"})
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +88,32 @@ class TestExecutionContextValidation:
             ExecutionContext(backend="nope")
         with pytest.raises(ConfigurationError):
             ExecutionContext(noise_model="depolarizing")
+        context = ExecutionContext(shots=np.int64(64), trajectories=np.int32(3))
+        assert (context.shots, context.trajectories) == (64, 3)
+        assert type(context.shots) is int and type(context.trajectories) is int
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ExecutionContext(shots="x"),
+            lambda: ExecutionContext(shots=2.5),
+            lambda: ExecutionContext(trajectories="x"),
+            lambda: ExecutionContext(trajectories=1.5),
+            lambda: ExecutionContext.from_dict({"shots": "x"}),
+            lambda: ExecutionContext.from_dict([]),
+        ],
+        ids=[
+            "shots-str",
+            "shots-float",
+            "trajectories-str",
+            "trajectories-float",
+            "from-dict-shots-str",
+            "from-dict-list",
+        ],
+    )
+    def test_bad_input_raises_configuration_error(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
 
     def test_density_requires_capable_backend(self):
         with pytest.raises(ConfigurationError, match="circuit"):

@@ -1,10 +1,9 @@
-"""Frontend integration: library circuits, evaluators, caches, capability."""
+"""Frontend integration: library circuits, evaluators, caches, the QASM export hook."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.execution.registry import get_backend
 from repro.frontend import ingest, lower_to_native, to_circuit
 from repro.frontend.evaluator import CircuitExpectationEvaluator
 from repro.frontend.library import available_circuits, circuit_source, load_circuit
@@ -125,12 +124,6 @@ class TestCircuitExpectationEvaluator:
 
 
 class TestExecutionSurface:
-    def test_circuit_backend_advertises_ingest(self):
-        assert get_backend("circuit").capabilities()["supports_ingest"] is True
-
-    def test_fast_backend_does_not(self):
-        assert get_backend("fast").capabilities()["supports_ingest"] is False
-
     def test_quantum_circuit_grew_a_to_qasm_hook(self):
         circuit = ingest(circuit_source("ghz"))
         text = circuit.to_qasm()

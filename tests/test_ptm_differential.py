@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import CircuitError, ConfigurationError, SimulationError
-from repro.execution import ExecutionContext, get_backend
+from repro.execution import ExecutionContext
 from repro.quantum import QuantumCircuit
 from repro.quantum.density import DensityMatrixSimulator
 from repro.quantum.engine import compile_noisy_circuit
@@ -309,11 +309,6 @@ class TestJointChannelsOnInvalidPaths:
 
 
 class TestCapabilityNegotiation:
-    def test_circuit_backend_advertises_ptm(self):
-        assert get_backend("circuit").supports_ptm
-        assert not get_backend("fast").supports_ptm
-        assert get_backend("circuit").capabilities()["supports_ptm"] is True
-
     def test_density_context_runs_joint_channels_through_ptm(self):
         """ExecutionContext(density=True) negotiates the compiled tier."""
         from repro.graphs.generators import cycle_graph

@@ -21,11 +21,7 @@ PUBLIC_API_SNAPSHOT = sorted(
         "compare",
         "serve",
         # Execution configuration.
-        "Backend",
         "ExecutionContext",
-        "available_backends",
-        "get_backend",
-        "register_backend",
         # Problem construction.
         "Graph",
         "MaxCutProblem",

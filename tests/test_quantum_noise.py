@@ -7,9 +7,10 @@ from repro.execution import ExecutionContext
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.graphs.generators import erdos_renyi_graph
 from repro.graphs.maxcut import MaxCutProblem
+from repro.qaoa.backends import FastBackend
 from repro.qaoa.circuit_builder import build_parametric_qaoa_circuit
 from repro.qaoa.cost import ExpectationEvaluator
-from repro.qaoa.fast_backend import FastMaxCutEvaluator
+from repro.qaoa.fast_backend import FAST_BACKEND_MAX_QUBITS
 from repro.qaoa.parameters import QAOAParameters
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density import DensityMatrixSimulator
@@ -379,51 +380,55 @@ class TestNoisySimulation:
 
 
 # ---------------------------------------------------------------------------
-# Fast-backend trajectories and cross-backend parity
+# Fast-backend trajectories: sampled by the compiled engine
 # ---------------------------------------------------------------------------
 
 class TestFastBackendNoise:
-    def test_noisy_statevector_deterministic(self):
-        problem = _problem()
-        evaluator = FastMaxCutEvaluator(problem)
-        model = NoiseModel.uniform_depolarizing(0.05)
-        parameters = QAOAParameters(gammas=(0.4,), betas=(0.3,))
-        first = evaluator.noisy_statevector(parameters, model, rng=2)
-        second = evaluator.noisy_statevector(parameters, model, rng=2)
-        assert np.array_equal(first.data, second.data)
-
     def test_matches_circuit_backend_trajectory(self):
-        """Same seed, same trajectory on the fast and circuit backends."""
+        """Seeded ``"fast"`` and ``"circuit"`` contexts return the same bits.
+
+        The FWHT program hands noise trajectories to the compiled engine, so
+        the same noise model, trajectories and rng give bit-identical
+        values on both backends: scalar and batch, with and without shots.
+        """
         problem = _problem()
-        circuit, _ = _bound_circuit(problem, 2)
         model = NoiseModel.uniform_depolarizing(0.05)
-        parameters = QAOAParameters(gammas=(0.4, 0.1), betas=(0.3, 0.2))
-        for seed in range(4):
-            fast_state = FastMaxCutEvaluator(problem).noisy_statevector(
-                parameters, model, rng=seed
-            )
-            evaluator = ExpectationEvaluator(
-                problem,
-                2,
-                context=ExecutionContext(
-                    backend="circuit", noise_model=model, trajectories=1
-                ),
-                rng=seed,
-            )
-            fast_value = float(
-                fast_state.probabilities() @ problem.cost_diagonal()
-            )
-            circuit_value = evaluator.expectation(parameters.to_vector())
-            assert fast_value == pytest.approx(circuit_value, abs=1e-9)
+        point = np.array([0.4, 0.1, 0.3, 0.2])
+        batch = np.array([point, point[::-1], 0.5 * point])
+        exact = ExpectationEvaluator(problem, 2).expectation(point)
+        for shots in (None, 96):
+            values = {}
+            for backend in ("fast", "circuit"):
+                context = ExecutionContext(
+                    backend=backend, noise_model=model, trajectories=3, shots=shots
+                )
+                evaluator = ExpectationEvaluator(problem, 2, context=context, rng=7)
+                values[backend] = (
+                    evaluator.expectation(point),
+                    evaluator.expectation_batch(batch),
+                )
+            fast, circuit = values["fast"], values["circuit"]
+            assert fast[0] == circuit[0] and np.array_equal(fast[1], circuit[1])
+            assert fast[0] != exact  # the noise really was sampled
+
+    def test_trajectory_engine_accepts_every_fast_register(self):
+        """The delegate's register ceiling is the FWHT's, not the engine's."""
+        program = FastBackend().compile(_problem(), 1)
+        program.noisy_probabilities(
+            QAOAParameters.from_vector([0.4, 0.3]), NoiseModel.uniform_depolarizing(0.05), 0
+        )
+        simulator = program._trajectory_program._simulator
+        assert simulator.max_qubits == FAST_BACKEND_MAX_QUBITS > StatevectorSimulator().max_qubits
 
     def test_zero_noise_trajectory_equals_exact_state(self):
         problem = _problem()
-        evaluator = FastMaxCutEvaluator(problem)
         model = NoiseModel().add_channel(DepolarizingChannel(0.0))
-        parameters = QAOAParameters(gammas=(0.4,), betas=(0.3,))
-        noisy = evaluator.noisy_statevector(parameters, model, rng=0)
-        exact = evaluator.statevector(parameters)
-        assert np.allclose(noisy.data, exact.data, atol=1e-12)
+        point = np.array([0.4, 0.3])
+        noisy = ExpectationEvaluator(
+            problem, 1, context=ExecutionContext(noise_model=model), rng=0
+        ).expectation(point)
+        exact = ExpectationEvaluator(problem, 1).expectation(point)
+        assert noisy == pytest.approx(exact, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

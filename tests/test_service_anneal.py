@@ -92,7 +92,7 @@ class TestAnnealJobs:
         assert result.dissipation == {"kind": "depolarizing", "rate": 0.05}
 
     def test_invalid_options_raise_at_submit(self, service, problem):
-        with pytest.raises(ConfigurationError, match="supports_continuous"):
+        with pytest.raises(ConfigurationError, match="continuous-time"):
             service.submit_anneal(problem, anneal_time=1.0, context="fast")
         with pytest.raises(ConfigurationError, match="anneal_time"):
             service.submit_anneal(problem)
