@@ -4,8 +4,10 @@ Two headline measurements, both written to ``BENCH_resilience.json``:
 
 * **Persistent warm-hit latency** — serving an already-solved configuration
   from the on-disk tier after a "process restart" (fresh service over the
-  same cache directory) versus recomputing the solve.  The floor asserts
-  the disk hit is at least 5x faster than the cold solve.
+  same cache directory) versus recomputing the solve.  The gate counts work,
+  not time: an empty-plan :class:`~repro.resilience.FaultInjector` is a pure
+  call counter, and each restarted-service hit adds no ``worker.run`` and
+  no ``backend.evaluate``.  The speed-up is only recorded.
 * **Resume-vs-restart saving** — a multi-restart solve killed near the end
   and then resumed from its checkpoint versus re-run from scratch, compared
   in *objective evaluations* (the paper's cost unit — every evaluation is a
@@ -55,38 +57,45 @@ def _emit_results_json(bench_smoke):
 
 
 def test_persistent_warm_hit_latency(bench_smoke, tmp_path):
-    """A disk-tier hit after a restart must beat the cold solve by >= 5x."""
+    """A disk-tier hit after a restart runs no solve and no evaluation."""
     problem = MaxCutProblem(erdos_renyi_graph(8, 0.5, seed=31))
     depth = 1 if bench_smoke else 2
+    # An empty fault plan makes the injector a pure per-site call counter.
+    counter = FaultInjector(FaultPlan())
 
-    with SolverService(max_workers=1, persistent_cache_dir=tmp_path) as service:
+    def service():
+        return SolverService(
+            max_workers=1, persistent_cache_dir=tmp_path, fault_injector=counter
+        )
+
+    with service() as cold_service:
         start = time.perf_counter()
-        cold_result = service.submit(problem, depth, seed=5).result(timeout=300)
+        cold_result = cold_service.submit(problem, depth, seed=5).result(timeout=300)
         cold_seconds = time.perf_counter() - start
+    cold_evaluations = counter.operations("backend.evaluate")
+    assert cold_evaluations == cold_result.num_function_calls > 0
+    assert counter.operations("worker.run") == 1
 
     # "Restart": a brand-new service (empty in-memory LRU) over the same
     # directory, so the hit is served from disk, deserialization included.
     warm_seconds = float("inf")
     for _ in range(5):
-        with SolverService(max_workers=1, persistent_cache_dir=tmp_path) as service:
+        with service() as warm_service:
             start = time.perf_counter()
-            handle = service.submit(problem, depth, seed=5)
+            handle = warm_service.submit(problem, depth, seed=5)
             warm_result = handle.result(timeout=30)
             warm_seconds = min(warm_seconds, time.perf_counter() - start)
-            assert handle.from_cache
-    assert warm_result.optimal_expectation == cold_result.optimal_expectation
-    assert warm_result.to_payload() == cold_result.to_payload()
+        assert handle.from_cache
+        assert warm_result.to_payload() == cold_result.to_payload()
+        assert counter.operations("backend.evaluate") == cold_evaluations
+        assert counter.operations("worker.run") == 1
 
-    speedup = cold_seconds / warm_seconds
     _RESULTS["persistent_warm_hit"] = {
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
-        "speedup": speedup,
+        "speedup": cold_seconds / warm_seconds,
+        "cold_evaluations": cold_evaluations,
     }
-    assert speedup >= 5.0, (
-        f"persistent warm hit only {speedup:.1f}x faster than the cold solve "
-        f"({warm_seconds * 1e3:.2f}ms vs {cold_seconds * 1e3:.1f}ms)"
-    )
 
 
 def test_resume_saves_at_least_half_the_evaluations(bench_smoke):

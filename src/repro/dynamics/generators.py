@@ -113,11 +113,6 @@ class Hamiltonian:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_pauli_sum(cls, operator: PauliSum, *, name: Optional[str] = None) -> "Hamiltonian":
-        """Explicit-name alias of the constructor."""
-        return cls(operator, name=name)
-
-    @classmethod
     def transverse_field(
         cls, num_qubits: int, coefficient: float = -1.0
     ) -> "Hamiltonian":

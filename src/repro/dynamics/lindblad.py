@@ -51,6 +51,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.quantum.density import _apply_left
 
 #: Dense superoperator ceiling: ``4^n x 4^n`` entries (n=6 is ~270 MB).
 DENSE_SUPEROP_MAX_QUBITS = 6
@@ -63,24 +64,6 @@ JUMP_OPERATORS: Dict[str, np.ndarray] = {
     "sigma_minus": np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
     "sigma_plus": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
 }
-
-
-def _apply_left(
-    array: np.ndarray, matrix: np.ndarray, qubits: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Left-multiply a ``2^k`` operator onto the row index of ``(dim, dim)``.
-
-    Same moveaxis/GEMM contraction as the density-matrix simulator: the
-    column index rides along as a flattened batch axis.
-    """
-    k = len(qubits)
-    axes = [num_qubits - 1 - q for q in qubits]
-    tensor = array.reshape((2,) * num_qubits + (-1,))
-    tensor = np.moveaxis(tensor, axes, range(k))
-    shape = tensor.shape
-    flat = matrix @ tensor.reshape(2**k, -1)
-    tensor = np.moveaxis(flat.reshape(shape), range(k), axes)
-    return np.ascontiguousarray(tensor).reshape(array.shape)
 
 
 class JumpOperator:

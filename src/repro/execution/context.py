@@ -35,29 +35,18 @@ True
 from __future__ import annotations
 
 import dataclasses
-import operator
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.exceptions import ConfigurationError
 from repro.quantum.noise import DEFAULT_TRAJECTORIES, NoiseModel, ReadoutErrorModel
+from repro.utils.validation import _integer
 
 ContextLike = Union[None, str, "ExecutionContext"]
 
 #: The two execution engines, compiled by :mod:`repro.qaoa.backends`: the
 #: gate-level circuit engine and the MaxCut-specialised FWHT.
 _BACKENDS = ("circuit", "fast")
-
-
-def _positive_count(value: Any, name: str) -> int:
-    """*value* as a Python ``int >= 1``; anything else is a configuration error."""
-    try:
-        count = operator.index(value)  # ints and NumPy integers, never 2.5 or "2"
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
-    if count < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {value}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -115,10 +104,10 @@ class ExecutionContext:
             )
         object.__setattr__(self, "backend", backend)
         if self.shots is not None:
-            object.__setattr__(self, "shots", _positive_count(self.shots, "shots"))
+            object.__setattr__(self, "shots", _integer(self.shots, "shots", minimum=1))
         if self.trajectories is not None:
             object.__setattr__(
-                self, "trajectories", _positive_count(self.trajectories, "trajectories")
+                self, "trajectories", _integer(self.trajectories, "trajectories", minimum=1)
             )
         noise_model = self.noise_model
         if noise_model is not None:

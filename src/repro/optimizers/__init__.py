@@ -3,8 +3,8 @@
 The paper evaluates four SciPy optimizers (L-BFGS-B, Nelder-Mead, SLSQP and
 COBYLA); this subpackage wraps them behind a common :class:`Optimizer`
 interface that counts objective evaluations (the paper's "function calls" /
-"QC calls") and adds native gradient-free implementations (Nelder-Mead, SPSA,
-finite-difference gradient descent) as optimizer-agnosticism ablations.
+"QC calls") and adds two native optimizers (SPSA and finite-difference
+gradient descent) as optimizer-agnosticism ablations.
 """
 
 from repro.optimizers.base import (
@@ -19,7 +19,6 @@ from repro.optimizers.scipy_optimizers import (
     ScipyOptimizer,
     SLSQPOptimizer,
 )
-from repro.optimizers.nelder_mead import NativeNelderMead
 from repro.optimizers.spsa import SPSAOptimizer
 from repro.optimizers.gradient_descent import FiniteDifferenceGradientDescent
 from repro.optimizers.registry import available_optimizers, get_optimizer
@@ -33,7 +32,6 @@ __all__ = [
     "NelderMeadOptimizer",
     "SLSQPOptimizer",
     "CobylaOptimizer",
-    "NativeNelderMead",
     "SPSAOptimizer",
     "FiniteDifferenceGradientDescent",
     "get_optimizer",

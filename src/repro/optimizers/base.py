@@ -9,8 +9,8 @@ number an explicit, optimizer-independent measurement.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,37 +20,18 @@ Objective = Callable[[np.ndarray], float]
 Bounds = Optional[Sequence[Tuple[float, float]]]
 
 
-#: Progress callback fired after every objective evaluation with
-#: ``(num_evaluations, value)``.  Observers are observational only — they
-#: must not mutate the point — but they *may* raise to abort the run (the
-#: solver's fault-injection and checkpoint machinery rely on both halves).
-Observer = Callable[[int, float], None]
-
-
 class CountingObjective:
-    """Wrap an objective function and count / record its evaluations.
+    """Wrap an objective function and count its evaluations.
 
-    An optional *observer* receives ``(num_evaluations, value)`` after each
-    evaluation — the hook the solver uses for periodic checkpoint progress
-    snapshots without optimizer-specific plumbing.
+    Besides the count it keeps the best point seen, which optimizers that
+    report their last iterate use to return the best sample instead.
     """
 
-    def __init__(
-        self,
-        function: Objective,
-        *,
-        record_history: bool = False,
-        observer: Optional[Observer] = None,
-    ):
+    def __init__(self, function: Objective):
         if not callable(function):
             raise OptimizationError("objective must be callable")
-        if observer is not None and not callable(observer):
-            raise OptimizationError("observer must be callable")
         self._function = function
         self._num_evaluations = 0
-        self._record_history = record_history
-        self._observer = observer
-        self._history: List[float] = []
         self._best_value: Optional[float] = None
         self._best_point: Optional[np.ndarray] = None
 
@@ -58,24 +39,15 @@ class CountingObjective:
         point = np.asarray(point, dtype=float)
         value = float(self._function(point))
         self._num_evaluations += 1
-        if self._record_history:
-            self._history.append(value)
         if self._best_value is None or value < self._best_value:
             self._best_value = value
             self._best_point = point.copy()
-        if self._observer is not None:
-            self._observer(self._num_evaluations, value)
         return value
 
     @property
     def num_evaluations(self) -> int:
         """Number of objective evaluations performed so far."""
         return self._num_evaluations
-
-    @property
-    def history(self) -> List[float]:
-        """Recorded objective values (empty unless ``record_history=True``)."""
-        return list(self._history)
 
     @property
     def best_value(self) -> Optional[float]:
@@ -88,9 +60,8 @@ class CountingObjective:
         return None if self._best_point is None else self._best_point.copy()
 
     def reset(self) -> None:
-        """Forget all counters and history."""
+        """Forget the count and the best point."""
         self._num_evaluations = 0
-        self._history = []
         self._best_value = None
         self._best_point = None
 
@@ -106,7 +77,6 @@ class OptimizationResult:
     converged: bool
     optimizer_name: str
     message: str = ""
-    history: List[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.optimal_parameters = np.asarray(self.optimal_parameters, dtype=float)
@@ -138,7 +108,6 @@ class Optimizer(ABC):
         *,
         tolerance: float = 1e-6,
         max_iterations: int = 10000,
-        record_history: bool = False,
     ):
         if tolerance <= 0:
             raise OptimizationError(f"tolerance must be positive, got {tolerance}")
@@ -149,7 +118,6 @@ class Optimizer(ABC):
         self._name = name
         self._tolerance = float(tolerance)
         self._max_iterations = int(max_iterations)
-        self._record_history = bool(record_history)
 
     @property
     def name(self) -> str:
@@ -171,13 +139,8 @@ class Optimizer(ABC):
         objective: Objective,
         initial_point: Sequence[float],
         bounds: Bounds = None,
-        observer: Optional[Observer] = None,
     ) -> OptimizationResult:
-        """Minimize *objective* starting from *initial_point*.
-
-        *observer*, when given, is called with ``(num_evaluations, value)``
-        after every objective evaluation (see :class:`CountingObjective`).
-        """
+        """Minimize *objective* starting from *initial_point*."""
         initial_point = np.asarray(initial_point, dtype=float)
         if initial_point.ndim != 1 or initial_point.size == 0:
             raise OptimizationError(
@@ -194,34 +157,17 @@ class Optimizer(ABC):
             for low, high in bounds:
                 if low > high:
                     raise OptimizationError(f"invalid bound ({low}, {high})")
-        counting = CountingObjective(
-            objective, record_history=self._record_history, observer=observer
-        )
-        result = self._minimize(counting, initial_point, bounds)
-        result.history = counting.history
-        return result
+        return self._minimize(CountingObjective(objective), initial_point, bounds)
 
     def maximize(
         self,
         objective: Objective,
         initial_point: Sequence[float],
         bounds: Bounds = None,
-        observer: Optional[Observer] = None,
     ) -> OptimizationResult:
-        """Maximize *objective* (minimizes its negation and flips the value).
-
-        An *observer* sees the values in the caller's (maximization)
-        orientation.
-        """
-        flipped = None
-        if observer is not None:
-            def flipped(count: int, value: float) -> None:
-                observer(count, -value)
-        result = self.minimize(
-            lambda x: -float(objective(x)), initial_point, bounds, observer=flipped
-        )
+        """Maximize *objective* (minimizes its negation and flips the value)."""
+        result = self.minimize(lambda x: -float(objective(x)), initial_point, bounds)
         result.optimal_value = -result.optimal_value
-        result.history = [-value for value in result.history]
         return result
 
     @abstractmethod

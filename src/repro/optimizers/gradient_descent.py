@@ -24,14 +24,8 @@ class FiniteDifferenceGradientDescent(Optimizer):
         finite_difference_step: float = 1e-4,
         tolerance: float = 1e-6,
         max_iterations: int = 500,
-        record_history: bool = False,
     ):
-        super().__init__(
-            "GradientDescent",
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            record_history=record_history,
-        )
+        super().__init__("GradientDescent", tolerance=tolerance, max_iterations=max_iterations)
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         if finite_difference_step <= 0:

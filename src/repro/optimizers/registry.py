@@ -1,8 +1,9 @@
 """Optimizer registry: build optimizers from their display names.
 
 Experiment configurations reference optimizers by the names used in the
-paper's Table I (``"L-BFGS-B"``, ``"Nelder-Mead"``, ``"SLSQP"``, ``"COBYLA"``)
-plus the native extensions.
+paper's Table I (``"L-BFGS-B"``, ``"Nelder-Mead"``, ``"SLSQP"``, ``"COBYLA"``,
+all SciPy-backed) plus two native extensions, SPSA and finite-difference
+gradient descent.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from typing import Callable, Dict, List
 from repro.exceptions import OptimizationError
 from repro.optimizers.base import Optimizer
 from repro.optimizers.gradient_descent import FiniteDifferenceGradientDescent
-from repro.optimizers.nelder_mead import NativeNelderMead
 from repro.optimizers.scipy_optimizers import (
     CobylaOptimizer,
     LBFGSBOptimizer,
@@ -28,7 +28,6 @@ _FACTORIES: Dict[str, Callable[..., Optimizer]] = {
     "neldermead": NelderMeadOptimizer,
     "slsqp": SLSQPOptimizer,
     "cobyla": CobylaOptimizer,
-    "nelder-mead-native": NativeNelderMead,
     "spsa": SPSAOptimizer,
     "gradient-descent": FiniteDifferenceGradientDescent,
     "gd": FiniteDifferenceGradientDescent,

@@ -29,19 +29,13 @@ class ScipyOptimizer(Optimizer):
         *,
         tolerance: float = 1e-6,
         max_iterations: int = 10000,
-        record_history: bool = False,
         options: Dict = None,
     ):
         if self.method is None:
             raise OptimizationError(
                 "ScipyOptimizer must be subclassed with a concrete method"
             )
-        super().__init__(
-            self.method,
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            record_history=record_history,
-        )
+        super().__init__(self.method, tolerance=tolerance, max_iterations=max_iterations)
         self._extra_options = dict(options or {})
 
     def _scipy_options(self) -> Dict:

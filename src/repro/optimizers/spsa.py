@@ -29,14 +29,8 @@ class SPSAOptimizer(Optimizer):
         gamma: float = 0.101,
         stability: float = 10.0,
         seed: RandomState = None,
-        record_history: bool = False,
     ):
-        super().__init__(
-            "SPSA",
-            tolerance=tolerance,
-            max_iterations=max_iterations,
-            record_history=record_history,
-        )
+        super().__init__("SPSA", tolerance=tolerance, max_iterations=max_iterations)
         self._a = float(a)
         self._c = float(c)
         self._alpha = float(alpha)

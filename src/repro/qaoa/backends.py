@@ -5,15 +5,17 @@
 names, through :meth:`FastBackend.compile` or :meth:`CircuitBackend.compile`.
 The :class:`~repro.qaoa.cost.ExpectationEvaluator`, the solver's program
 LRU and the service's program cache all compile through it.  A program has
-one evaluation surface:
+one evaluation surface, fed the flat float64 ``[gammas..., betas...]``
+vector (or a ``(batch, 2p)`` block of them) that the evaluator has already
+checked:
 
-- ``expectation(parameters)`` / ``expectation_batch(matrix)`` — exact
+- ``expectation(vector)`` / ``expectation_batch(matrix)`` — exact
   scalar and ``(batch,)`` expectations;
-- ``probabilities(parameters)`` / ``probability_rows(block)`` — exact
+- ``probabilities(vector)`` / ``probability_rows(block)`` — exact
   outcome distributions (batch-major rows for a parameter block);
-- ``noisy_probabilities(parameters, noise_model, rng)`` — one stochastic
+- ``noisy_probabilities(vector, noise_model, rng)`` — one stochastic
   Pauli-noise trajectory;
-- ``density_probabilities(parameters, noise_model)`` — the exact
+- ``density_probabilities(vector, noise_model)`` — the exact
   density-matrix distribution (``"circuit"`` programs compiled with
   ``density=True``).
 
@@ -33,7 +35,6 @@ from repro.exceptions import ConfigurationError
 from repro.graphs.maxcut import MaxCutProblem
 from repro.qaoa.circuit_builder import build_parametric_qaoa_circuit
 from repro.qaoa.fast_backend import FAST_BACKEND_MAX_QUBITS, FastMaxCutEvaluator
-from repro.qaoa.parameters import QAOAParameters
 from repro.quantum.density import DensityMatrixSimulator
 from repro.quantum.noise import NoiseModel
 from repro.quantum.simulator import StatevectorSimulator
@@ -49,14 +50,14 @@ class _FastProgram:
         # Built on the first noisy trajectory; exact paths never need it.
         self._trajectory_program: Optional[_CircuitProgram] = None
 
-    def expectation(self, parameters: QAOAParameters) -> float:
-        return self._evaluator.expectation(parameters)
+    def expectation(self, vector: np.ndarray) -> float:
+        return self._evaluator.expectation(vector)
 
     def expectation_batch(self, matrix: np.ndarray) -> np.ndarray:
         return self._evaluator.expectation_batch(matrix)
 
-    def probabilities(self, parameters: QAOAParameters) -> np.ndarray:
-        return self._evaluator.statevector(parameters).probabilities()
+    def probabilities(self, vector: np.ndarray) -> np.ndarray:
+        return self._evaluator.statevector(vector).probabilities()
 
     def probability_rows(self, block: np.ndarray) -> np.ndarray:
         # The FWHT sweep produces (dim, batch) amplitude columns; the
@@ -65,10 +66,7 @@ class _FastProgram:
         return (columns.real**2 + columns.imag**2).T
 
     def noisy_probabilities(
-        self,
-        parameters: QAOAParameters,
-        noise_model: NoiseModel,
-        rng: RandomState,
+        self, vector: np.ndarray, noise_model: NoiseModel, rng: RandomState
     ) -> np.ndarray:
         # Two threads racing here may both build one; either serves.  The
         # delegate accepts every register the FWHT does.
@@ -76,7 +74,7 @@ class _FastProgram:
             self._trajectory_program = _CircuitProgram(
                 self._evaluator.problem, self._depth, max_qubits=FAST_BACKEND_MAX_QUBITS
             )
-        return self._trajectory_program.noisy_probabilities(parameters, noise_model, rng)
+        return self._trajectory_program.noisy_probabilities(vector, noise_model, rng)
 
 
 class _CircuitProgram:
@@ -122,12 +120,9 @@ class _CircuitProgram:
             [flat_index[p] for p in circuit.parameters], dtype=np.intp
         )
 
-    def _values(self, parameters: QAOAParameters) -> np.ndarray:
-        return parameters.to_vector()[self._column_order]
-
-    def expectation(self, parameters: QAOAParameters) -> float:
+    def expectation(self, vector: np.ndarray) -> float:
         return self._simulator.expectation(
-            self._circuit, self._hamiltonian, self._values(parameters)
+            self._circuit, self._hamiltonian, vector[self._column_order]
         )
 
     def expectation_batch(self, matrix: np.ndarray) -> np.ndarray:
@@ -135,8 +130,8 @@ class _CircuitProgram:
             self._circuit, self._hamiltonian, matrix[:, self._column_order]
         )
 
-    def probabilities(self, parameters: QAOAParameters) -> np.ndarray:
-        return self._simulator.run(self._circuit, self._values(parameters)).probabilities()
+    def probabilities(self, vector: np.ndarray) -> np.ndarray:
+        return self._simulator.run(self._circuit, vector[self._column_order]).probabilities()
 
     def probability_rows(self, block: np.ndarray) -> np.ndarray:
         # Stay in the engine's native row layout (skipping run_batch's full
@@ -147,21 +142,18 @@ class _CircuitProgram:
         return amplitude_rows.real**2 + amplitude_rows.imag**2
 
     def noisy_probabilities(
-        self,
-        parameters: QAOAParameters,
-        noise_model: NoiseModel,
-        rng: RandomState,
+        self, vector: np.ndarray, noise_model: NoiseModel, rng: RandomState
     ) -> np.ndarray:
         state = self._simulator.run(
-            self._circuit, self._values(parameters), noise_model=noise_model, rng=rng
+            self._circuit, vector[self._column_order], noise_model=noise_model, rng=rng
         )
         return state.probabilities()
 
     def density_probabilities(
-        self, parameters: QAOAParameters, noise_model: Optional[NoiseModel]
+        self, vector: np.ndarray, noise_model: Optional[NoiseModel]
     ) -> np.ndarray:
         rho = self._density_simulator.run(
-            self._circuit, self._values(parameters), noise_model=noise_model
+            self._circuit, vector[self._column_order], noise_model=noise_model
         )
         return rho.probabilities()
 

@@ -71,7 +71,7 @@ True
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -83,7 +83,6 @@ from repro.execution.context import (
 )
 from repro.graphs.maxcut import MaxCutProblem
 from repro.qaoa.backends import compile_program
-from repro.qaoa.parameters import QAOAParameters
 from repro.quantum.engine import BATCH_ELEMENT_BUDGET
 from repro.quantum.noise import (
     NoiseModel,
@@ -92,6 +91,7 @@ from repro.quantum.noise import (
     split_shots,
 )
 from repro.utils.rng import RandomState, ensure_rng
+from repro.utils.validation import _integer
 
 
 class ExpectationEvaluator:
@@ -124,8 +124,7 @@ class ExpectationEvaluator:
         program=None,
     ):
         context = as_execution_context(context)
-        if depth < 1:
-            raise ConfigurationError(f"depth must be >= 1, got {depth}")
+        depth = _integer(depth, "depth", minimum=1)
         if (
             context.readout_error is not None
             and context.readout_error.num_qubits != problem.num_qubits
@@ -135,7 +134,7 @@ class ExpectationEvaluator:
                 f"the problem has {problem.num_qubits}"
             )
         self._problem = problem
-        self._depth = int(depth)
+        self._depth = depth
         self._context = context
         self._trajectories = context.effective_trajectories
         if rng is None:
@@ -286,14 +285,15 @@ class ExpectationEvaluator:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _validate(self, vector: Sequence[float]) -> QAOAParameters:
+    def _validate(self, vector: Sequence[float]) -> np.ndarray:
+        """*vector* as the flat float64 array every program method takes."""
         vector = np.asarray(vector, dtype=float).reshape(-1)
         if vector.size != self.num_parameters:
             raise ConfigurationError(
                 f"expected {self.num_parameters} parameters for depth {self._depth}, "
                 f"got {vector.size}"
             )
-        return QAOAParameters.from_vector(vector)
+        return vector
 
     def expectation(self, vector: Sequence[float]) -> float:
         """Cost expectation at the flat parameter vector *vector*.
@@ -303,21 +303,19 @@ class ExpectationEvaluator:
         except in density mode, where gate noise and readout corruption are
         deterministic and only a shot budget samples.
         """
-        parameters = self._validate(vector)
+        vector = self._validate(vector)
         self._num_evaluations += 1
         if self._context.density:
-            return self._density_estimate(parameters)
+            return self._density_estimate(vector)
         if self.is_stochastic:
-            return self._estimate(parameters)
+            return self._estimate(vector)
         if self.readout_error is not None:
             # Deterministic (infinite-shot) readout corruption of the exact
             # outcome distribution; with mitigation it recovers the exact
             # expectation identically.
-            probabilities = self._readout_transform(
-                self._program.probabilities(parameters)
-            )
+            probabilities = self._readout_transform(self._program.probabilities(vector))
             return float(probabilities @ self._stochastic_diagonal)
-        return self._program.expectation(parameters)
+        return self._program.expectation(vector)
 
     def _readout_transform(self, probabilities: np.ndarray) -> np.ndarray:
         """Infinite-shot readout pipeline: corrupt, then optionally invert."""
@@ -329,33 +327,29 @@ class ExpectationEvaluator:
             return readout.mitigate(corrupted)
         return corrupted
 
-    def _density_estimate(self, parameters: QAOAParameters) -> float:
+    def _density_estimate(self, vector: np.ndarray) -> float:
         """Density-mode evaluation: exact channels, optional shot sampling."""
-        probabilities = self._program.density_probabilities(
-            parameters, self.noise_model
-        )
+        probabilities = self._program.density_probabilities(vector, self.noise_model)
         if self.shots is None:
             probabilities = self._readout_transform(probabilities)
             return float(probabilities @ self._stochastic_diagonal)
         return self._estimator.estimate_probabilities(probabilities)
 
-    def _trajectory_probabilities(self, parameters: QAOAParameters) -> np.ndarray:
+    def _trajectory_probabilities(self, vector: np.ndarray) -> np.ndarray:
         """Outcome probabilities of one (possibly noisy) trajectory."""
         self._trajectories_run += 1
         if self.noise_model is None:
-            return self._program.probabilities(parameters)
-        return self._program.noisy_probabilities(
-            parameters, self.noise_model, self._rng
-        )
+            return self._program.probabilities(vector)
+        return self._program.noisy_probabilities(vector, self.noise_model, self._rng)
 
-    def _estimate(self, parameters: QAOAParameters) -> float:
+    def _estimate(self, vector: np.ndarray) -> float:
         """One stochastic estimate: trajectories x (shots | exact readout)."""
         trajectories = self._trajectories
         if self.shots is None:
             total = 0.0
             for _ in range(trajectories):
                 probabilities = self._readout_transform(
-                    self._trajectory_probabilities(parameters)
+                    self._trajectory_probabilities(vector)
                 )
                 total += float(probabilities @ self._stochastic_diagonal)
             return total / trajectories
@@ -364,7 +358,7 @@ class ExpectationEvaluator:
         for budget in budgets:
             if budget == 0:
                 continue
-            probabilities = self._trajectory_probabilities(parameters)
+            probabilities = self._trajectory_probabilities(vector)
             total += budget * self._estimator.estimate_probabilities(
                 probabilities, budget
             )
@@ -402,12 +396,7 @@ class ExpectationEvaluator:
         if self._context.density:
             # The density matrix is 4^n memory per state: one exact
             # evaluation per row, never a (4^n, batch) sweep.
-            return np.array(
-                [
-                    self._density_estimate(QAOAParameters.from_vector(row))
-                    for row in matrix
-                ]
-            )
+            return np.array([self._density_estimate(row) for row in matrix])
         if not self.is_stochastic:
             if self.readout_error is not None:
                 return self._readout_expectation_batch(matrix)
@@ -419,12 +408,7 @@ class ExpectationEvaluator:
                 estimates[start:stop] = self._estimator.estimate_batch(rows.T)
             self._trajectories_run += matrix.shape[0]
             return estimates
-        return np.array(
-            [
-                self._estimate(QAOAParameters.from_vector(row))
-                for row in matrix
-            ]
-        )
+        return np.array([self._estimate(row) for row in matrix])
 
     def _probability_rows_chunks(self, matrix: np.ndarray):
         """Yield ``(start, stop, rows)`` of exact probability rows.
@@ -449,14 +433,6 @@ class ExpectationEvaluator:
             )
         return results
 
-    def negative_expectation(self, vector: Sequence[float]) -> float:
-        """The minimization objective handed to the classical optimizer."""
-        return -self.expectation(vector)
-
     def approximation_ratio(self, vector: Sequence[float]) -> float:
         """Approximation ratio achieved at *vector*."""
         return self._problem.approximation_ratio(self.expectation(vector))
-
-    def as_objective(self) -> Callable[[np.ndarray], float]:
-        """The minimization objective as a plain callable."""
-        return self.negative_expectation

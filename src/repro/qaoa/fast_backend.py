@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.exceptions import SimulationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.graphs.maxcut import MaxCutProblem
 from repro.qaoa.parameters import QAOAParameters
 from repro.quantum.engine import BATCH_ELEMENT_BUDGET
@@ -245,14 +245,26 @@ class FastMaxCutEvaluator:
             )
         return matrix
 
+    @staticmethod
+    def _angles(parameters) -> Tuple[np.ndarray, np.ndarray]:
+        """``(gammas, betas)`` of a :class:`QAOAParameters` or a flat vector.
+
+        A flat ``[gammas..., betas...]`` vector is split into two views.
+        """
+        if isinstance(parameters, QAOAParameters):
+            return np.asarray(parameters.gammas), np.asarray(parameters.betas)
+        vector = np.asarray(parameters, dtype=float).reshape(-1)
+        if vector.size == 0 or vector.size % 2 != 0:
+            raise ConfigurationError(
+                f"parameter vector length must be a positive even number, got {vector.size}"
+            )
+        depth = vector.size // 2
+        return vector[:depth], vector[depth:]
+
     def statevector(self, parameters) -> Statevector:
         """The QAOA output state ``|psi(gamma, beta)>``."""
-        if not isinstance(parameters, QAOAParameters):
-            parameters = QAOAParameters.from_vector(np.asarray(parameters, dtype=float))
         amplitudes = np.full(self._dim, 1.0 / math.sqrt(self._dim), dtype=complex)
-        self._evolve_inplace(
-            amplitudes, np.asarray(parameters.gammas), np.asarray(parameters.betas)
-        )
+        self._evolve_inplace(amplitudes, *self._angles(parameters))
         return Statevector(amplitudes, copy=False, validate=False)
 
     def statevector_batch(self, params_matrix: ParameterBatch) -> np.ndarray:
@@ -276,14 +288,15 @@ class FastMaxCutEvaluator:
     # Expectations
     # ------------------------------------------------------------------
     def expectation(self, parameters) -> float:
-        """Expectation value of the cost Hamiltonian in the QAOA state."""
-        if not isinstance(parameters, QAOAParameters):
-            parameters = QAOAParameters.from_vector(np.asarray(parameters, dtype=float))
+        """Expectation value of the cost Hamiltonian in the QAOA state.
+
+        *parameters* is a :class:`QAOAParameters` or a flat
+        ``[gammas..., betas...]`` vector.
+        """
+        gammas, betas = self._angles(parameters)
         amplitudes = self._state_buffer_for()
         amplitudes.fill(1.0 / math.sqrt(self._dim))
-        self._evolve_inplace(
-            amplitudes, np.asarray(parameters.gammas), np.asarray(parameters.betas)
-        )
+        self._evolve_inplace(amplitudes, gammas, betas)
         self._count_evaluations()
         probabilities = amplitudes.real**2 + amplitudes.imag**2
         return float(np.dot(probabilities, self._cost_diagonal))

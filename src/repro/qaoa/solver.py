@@ -68,6 +68,7 @@ from repro.resilience.checkpoint import (
 )
 from repro.utils.lru import LRUCache
 from repro.utils.rng import RandomState, as_optional_seed, ensure_rng
+from repro.utils.validation import _integer
 
 InitialParameters = Union[None, QAOAParameters, Sequence[float]]
 
@@ -143,12 +144,10 @@ class QAOASolver:
         fault_injector=None,
     ):
         context = as_execution_context(context)
-        if num_restarts < 1:
-            raise ConfigurationError(f"num_restarts must be >= 1, got {num_restarts}")
-        if candidate_pool is not None and candidate_pool < 1:
-            raise ConfigurationError(
-                f"candidate_pool must be >= 1, got {candidate_pool}"
-            )
+        self._num_restarts = _integer(num_restarts, "num_restarts", minimum=1)
+        if candidate_pool is not None:
+            candidate_pool = _integer(candidate_pool, "candidate_pool", minimum=1)
+        self._candidate_pool = candidate_pool
         self._context = context
         if seed is None:
             seed = context.seed
@@ -183,10 +182,8 @@ class QAOASolver:
                 tolerance=tolerance,
                 max_iterations=max_iterations,
             )
-        self._num_restarts = int(num_restarts)
         self._use_bounds = bool(use_bounds)
         self._fault_injector = fault_injector
-        self._candidate_pool = None if candidate_pool is None else int(candidate_pool)
         # Compiled-program LRU keyed on problem *content* + depth (via
         # compile_cache_key): repeated solves of the same instance — the
         # optimizer-comparison loops, the service tier — reuse the backend
@@ -204,8 +201,6 @@ class QAOASolver:
         threads racing on a cold key may both compile (one result wins the
         slot), which duplicates work but never corrupts state.
         """
-        if depth < 1:
-            raise ConfigurationError(f"depth must be >= 1, got {depth}")
         key = compile_cache_key(problem, depth, self._context)
         program = self._program_cache.get(key)
         if program is None:
@@ -280,7 +275,6 @@ class QAOASolver:
         candidate_pool: Optional[int] = None,
         seed: RandomState = None,
         checkpoint: CheckpointLike = None,
-        checkpoint_interval: Optional[int] = None,
     ) -> QAOAResult:
         """Optimize a depth-*depth* QAOA instance of *problem*.
 
@@ -301,20 +295,15 @@ class QAOASolver:
         accounting — after every restart; re-invoking an interrupted solve
         with the same slot resumes from the last completed restart and
         returns a result **bit-identical** to the uninterrupted run.
-        *checkpoint_interval* additionally writes an observational progress
-        marker every that-many objective evaluations (resume granularity
-        stays the restart boundary).  Completed snapshots are left in the
-        store; callers that no longer need them delete the slot.
+        Completed snapshots are left in the store; callers that no longer
+        need them delete the slot.
         """
+        depth = _integer(depth, "depth", minimum=1)
         rng = ensure_rng(seed) if seed is not None else self._rng
         slot = self._as_checkpoint_slot(checkpoint, problem, depth, seed)
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise ConfigurationError(
-                f"checkpoint_interval must be >= 1, got {checkpoint_interval}"
-            )
         snapshot = slot.load() if slot is not None else None
         if snapshot is not None:
-            if snapshot.depth != int(depth):
+            if snapshot.depth != depth:
                 raise CheckpointError(
                     f"checkpoint was written for depth {snapshot.depth}, "
                     f"cannot resume a depth-{depth} solve"
@@ -362,10 +351,12 @@ class QAOASolver:
             starts = [self._coerce_parameters(initial_parameters, depth)]
             initialization = "warm"
         else:
-            restarts = num_restarts if num_restarts is not None else self._num_restarts
-            if restarts < 1:
-                raise ConfigurationError(f"num_restarts must be >= 1, got {restarts}")
-            pool = candidate_pool if candidate_pool is not None else self._candidate_pool
+            restarts = self._num_restarts
+            if num_restarts is not None:
+                restarts = _integer(num_restarts, "num_restarts", minimum=1)
+            pool = self._candidate_pool
+            if candidate_pool is not None:
+                pool = _integer(candidate_pool, "candidate_pool", minimum=1)
             if pool is not None and pool > restarts:
                 candidates = [random_parameters(depth, rng) for _ in range(pool)]
                 scores = evaluator.expectation_batch(
@@ -381,16 +372,15 @@ class QAOASolver:
 
         boundary_rng_state = capture_rng_state(rng) if slot is not None else None
 
-        def snapshot_now(progress=None) -> SolverCheckpoint:
+        def snapshot_now() -> SolverCheckpoint:
             return SolverCheckpoint(
-                depth=int(depth),
+                depth=depth,
                 initialization=initialization,
                 starts=[[float(v) for v in start.to_vector()] for start in starts],
                 records=[record.to_payload() for record in records],
                 rng_state=boundary_rng_state,
                 screening_calls=screening_calls,
                 shots_used=base_shots + evaluator.shots_used,
-                progress=progress,
             )
 
         if slot is not None and snapshot is None:
@@ -402,15 +392,8 @@ class QAOASolver:
         for record in records:
             if best_record is None or record.optimal_expectation > best_record.optimal_expectation:
                 best_record = record
-        for index in range(len(records), len(starts)):
-            observer = None
-            if slot is not None and checkpoint_interval is not None:
-                observer = self._progress_observer(
-                    slot, snapshot_now, index, checkpoint_interval
-                )
-            record = self._run_single(
-                objective, starts[index], bounds, optimizer, observer=observer
-            )
+        for start in starts[len(records):]:
+            record = self._run_single(objective, start, bounds, optimizer)
             records.append(record)
             if best_record is None or record.optimal_expectation > best_record.optimal_expectation:
                 best_record = record
@@ -459,43 +442,10 @@ class QAOASolver:
         )
 
     @staticmethod
-    def _progress_observer(slot, snapshot_now, restart_index, interval):
-        """An evaluation observer writing periodic progress markers.
-
-        Progress markers are observational (resume granularity stays the
-        restart boundary) but they make long restarts visible in the store
-        and exercise the save path under chaos tests.
-        """
-        best = [None]
-
-        def observe(count: int, value: float) -> None:
-            if best[0] is None or value > best[0]:
-                best[0] = value
-            if count % interval == 0:
-                slot.save(
-                    snapshot_now(
-                        progress={
-                            "restart_index": int(restart_index),
-                            "evaluations": int(count),
-                            "best_value": best[0],
-                        }
-                    )
-                )
-
-        return observe
-
     def _run_single(
-        self,
-        objective,
-        start: QAOAParameters,
-        bounds,
-        optimizer: Optional[Optimizer] = None,
-        observer=None,
+        objective, start: QAOAParameters, bounds, optimizer: Optimizer
     ) -> RestartRecord:
-        optimizer = optimizer if optimizer is not None else self._optimizer
-        result = optimizer.maximize(
-            objective, start.to_vector(), bounds, observer=observer
-        )
+        result = optimizer.maximize(objective, start.to_vector(), bounds)
         return RestartRecord(
             initial_parameters=start,
             optimal_parameters=QAOAParameters.from_vector(result.optimal_parameters),

@@ -1077,15 +1077,24 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
-        """Rebuild a model from :meth:`to_dict` output."""
+        """Rebuild a model from :meth:`to_dict` output.
+
+        A payload that is not a mapping, or a rule that is not a mapping
+        with a well-formed ``channel``, raises
+        :class:`~repro.exceptions.ConfigurationError`.
+        """
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"noise model payload must be a mapping, got {type(data).__name__}"
+            )
         model = cls()
         for rule in data.get("rules", ()):
-            model.add_channel(
-                channel_from_dict(rule["channel"]),
-                gates=rule.get("gates"),
-                qubits=rule.get("qubits"),
-                arity=rule.get("arity"),
-            )
+            try:
+                channel = channel_from_dict(rule["channel"])
+                filters = {key: rule.get(key) for key in ("gates", "qubits", "arity")}
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise ConfigurationError(f"malformed noise rule {rule!r}: {exc!r}") from None
+            model.add_channel(channel, **filters)
         return model
 
     def __eq__(self, other) -> bool:
@@ -1146,24 +1155,6 @@ class NoiseModel:
             for rule in self._rules:
                 total += rule.channel.error_probability * len(rule.targets(name, qubits))
         return total
-
-    def channels_for(self, name: str, qubits: Sequence[int]):
-        """Yield every ``(channel, qubit)`` firing on one gate operation.
-
-        The single-qubit view kept for backward compatibility; a model
-        containing joint (multi-qubit) channels cannot be flattened to
-        per-qubit applications and raises
-        :class:`~repro.exceptions.ConfigurationError` — consume
-        :meth:`exact_channels_for` instead, which yields operand tuples.
-        """
-        for channel, target in self.exact_channels_for(name, qubits):
-            if len(target) != 1:
-                raise ConfigurationError(
-                    f"channel {channel.name!r} fires jointly on qubits "
-                    f"{target}; use exact_channels_for(), which yields "
-                    f"operand tuples"
-                )
-            yield channel, target[0]
 
     def exact_channels_for(self, name: str, qubits: Sequence[int]):
         """Yield every ``(channel, operand_tuple)`` firing on one operation.

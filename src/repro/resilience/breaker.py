@@ -23,7 +23,9 @@ thread-safe.
 Examples
 --------
 >>> now = [0.0]
->>> breaker = CircuitBreaker(min_failures=2, recovery_time=10.0, clock=lambda: now[0])
+>>> breaker = CircuitBreaker(
+...     min_failures=2, recovery_time=10.0, probe_budget=1, clock=lambda: now[0]
+... )
 >>> for _ in range(2):
 ...     _ = breaker.allow(); breaker.record_failure()
 >>> breaker.state

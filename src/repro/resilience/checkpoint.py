@@ -105,9 +105,6 @@ class SolverCheckpoint:
     rng_state: Optional[Dict[str, Any]] = None
     screening_calls: int = 0
     shots_used: int = 0
-    #: Optional intra-restart progress marker (observational only — resume
-    #: re-runs the interrupted restart from its recorded start).
-    progress: Optional[Dict[str, Any]] = None
 
     def to_payload(self) -> Dict[str, Any]:
         return {
@@ -119,7 +116,6 @@ class SolverCheckpoint:
             "rng_state": self.rng_state,
             "screening_calls": int(self.screening_calls),
             "shots_used": int(self.shots_used),
-            "progress": self.progress,
         }
 
     @classmethod
@@ -141,7 +137,6 @@ class SolverCheckpoint:
             rng_state=payload.get("rng_state"),
             screening_calls=int(payload.get("screening_calls", 0)),
             shots_used=int(payload.get("shots_used", 0)),
-            progress=payload.get("progress"),
         )
         if len(checkpoint.records) > len(checkpoint.starts):
             raise CheckpointError(

@@ -195,12 +195,6 @@ class RequestCoalescer:
             self._execute(solo)
         return future
 
-    def evaluate(
-        self, key: str, evaluator: Any, vector: Any, timeout: Optional[float] = None
-    ) -> float:
-        """Synchronous convenience wrapper: submit and wait for the value."""
-        return self.submit(key, evaluator, vector).result(timeout)
-
     # ------------------------------------------------------------------
     # Flusher
     # ------------------------------------------------------------------

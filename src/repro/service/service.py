@@ -105,6 +105,7 @@ from repro.service.coalescer import BatchFuture, RequestCoalescer
 from repro.service.jobs import JobHandle
 from repro.service.metrics import ServiceMetrics
 from repro.service.persistence import PersistentResultCache
+from repro.utils.validation import _integer
 
 __all__ = ["SolverService"]
 
@@ -384,9 +385,7 @@ class SolverService:
         of the same job resume the same way.  The snapshot is deleted once
         the job completes.
         """
-        depth = _integer(depth, "depth")
-        if depth < 1:
-            raise ConfigurationError(f"depth must be >= 1, got {depth}")
+        depth = _integer(depth, "depth", minimum=1)
         explicit_seed = seed is not None
         if explicit_seed:
             seed = _integer(seed, "seed")
@@ -881,13 +880,6 @@ class SolverService:
             f"SolverService(backend={self._context.backend!r}, "
             f"workers={len(self._workers)}, queue_depth={self.queue_depth})"
         )
-
-
-def _integer(value: Any, name: str) -> int:
-    """*value* as a Python ``int``; anything but an integer is a configuration error."""
-    if not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _vector_payload(parameters: Any) -> Optional[list]:

@@ -1,15 +1,37 @@
 """Small argument-validation helpers used across the package.
 
-They raise built-in exception types (``ValueError`` / ``TypeError``) because
-they guard programming errors at API boundaries rather than library failures.
+The ``check_*`` helpers raise built-in exception types (``ValueError`` /
+``TypeError``) because they guard programming errors at API boundaries
+rather than library failures.  :func:`_integer` is the integer check of the
+solver's configuration boundary (service submissions, solver, evaluator and
+execution context), so it raises
+:class:`~repro.exceptions.ConfigurationError`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Union
+import operator
+from typing import Any, Optional, Union
+
+from repro.exceptions import ConfigurationError
 
 Number = Union[int, float]
+
+
+def _integer(value: Any, name: str, minimum: Optional[int] = None) -> int:
+    """*value* as a Python ``int``; anything else is a configuration error.
+
+    Ints and NumPy integers pass, never ``2.5`` or ``"2"``; with *minimum*,
+    smaller values are refused too.
+    """
+    try:
+        integer = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and integer < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {integer}")
+    return integer
 
 
 def check_positive_int(value: int, name: str) -> int:

@@ -26,17 +26,6 @@ class TestCountingObjective:
         assert objective.best_value == pytest.approx(0.25)
         np.testing.assert_allclose(objective.best_point, [1.5])
 
-    def test_history_recording(self):
-        objective = CountingObjective(quadratic, record_history=True)
-        objective([0.0])
-        objective([2.0])
-        assert objective.history == [1.0, 1.0]
-
-    def test_history_disabled_by_default(self):
-        objective = CountingObjective(quadratic)
-        objective([0.0])
-        assert objective.history == []
-
     def test_reset(self):
         objective = CountingObjective(quadratic)
         objective([0.0])

@@ -1,10 +1,9 @@
-"""Tests for the native optimizers (Nelder-Mead, SPSA, gradient descent)."""
+"""Tests for the native optimizers (SPSA, finite-difference gradient descent)."""
 
 import numpy as np
 import pytest
 
 from repro.optimizers.gradient_descent import FiniteDifferenceGradientDescent
-from repro.optimizers.nelder_mead import NativeNelderMead
 from repro.optimizers.spsa import SPSAOptimizer
 
 
@@ -15,29 +14,6 @@ def sphere(x):
 def shifted_quadratic(x):
     x = np.asarray(x)
     return float((x[0] - 0.5) ** 2 + 2.0 * (x[1] + 0.25) ** 2)
-
-
-class TestNativeNelderMead:
-    def test_finds_minimum(self):
-        result = NativeNelderMead(tolerance=1e-10).minimize(shifted_quadratic, [2.0, 2.0])
-        np.testing.assert_allclose(result.optimal_parameters, [0.5, -0.25], atol=1e-3)
-        assert result.converged
-
-    def test_respects_bounds(self):
-        result = NativeNelderMead().minimize(
-            sphere, [2.0, 2.0], bounds=[(1.0, 3.0), (1.0, 3.0)]
-        )
-        assert np.all(result.optimal_parameters >= 1.0 - 1e-9)
-        assert np.all(result.optimal_parameters <= 3.0 + 1e-9)
-
-    def test_iteration_limit(self):
-        result = NativeNelderMead(max_iterations=3).minimize(sphere, [5.0, 5.0, 5.0])
-        assert result.num_iterations <= 3
-        assert not result.converged
-
-    def test_invalid_step_raises(self):
-        with pytest.raises(ValueError):
-            NativeNelderMead(initial_step=0.0)
 
 
 class TestSPSA:

@@ -24,7 +24,7 @@ class TestRegistry:
         assert optimizer.max_iterations == 17
 
     def test_native_extensions_available(self):
-        for name in ("spsa", "gradient-descent", "nelder-mead-native"):
+        for name in ("spsa", "gradient-descent"):
             assert isinstance(get_optimizer(name), Optimizer)
 
     def test_unknown_name_raises(self):

@@ -66,11 +66,6 @@ class TestBoundsAndOptions:
         )
         assert limited.num_function_calls < unlimited.num_function_calls
 
-    def test_history_recording(self):
-        optimizer = LBFGSBOptimizer(record_history=True)
-        result = optimizer.minimize(sphere, [1.0])
-        assert len(result.history) == result.num_function_calls
-
     def test_reported_value_is_best_seen(self):
         optimizer = CobylaOptimizer(tolerance=1e-4)
         result = optimizer.minimize(sphere, [3.0, 3.0])

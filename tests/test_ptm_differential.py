@@ -262,11 +262,6 @@ class TestJointChannelsOnInvalidPaths:
         with pytest.raises(ConfigurationError, match="density"):
             self._joint_model().expected_error_count(stream)
 
-    def test_single_qubit_flat_view_raises_configuration_error(self):
-        model = self._joint_model()
-        with pytest.raises(ConfigurationError, match="exact_channels_for"):
-            list(model.channels_for("cx", (0, 1)))
-
     def test_statevector_simulator_rejects_joint_channels(self):
         circuit = QuantumCircuit(2)
         circuit.cx(0, 1)

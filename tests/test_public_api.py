@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import repro
+from repro.quantum.noise import NoiseModel
 
 #: The supported top-level API, alphabetised.  Keep in sync with docs.
 PUBLIC_API_SNAPSHOT = sorted(
@@ -185,3 +186,42 @@ class TestFacadeBehaviour:
             assert isinstance(service, repro.SolverService)
             handle = service.submit(repro.MaxCutProblem(graph), 1, seed=0)
             assert handle.result(timeout=60).approximation_ratio > 0.5
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda g, p: repro.solve(g, depth="2"), id="solve-depth-str"),
+            pytest.param(lambda g, p: repro.solve(g, depth=1.5), id="solve-depth-float"),
+            pytest.param(
+                lambda g, p: repro.compare(g, target_depth=1.5, predictor=p),
+                id="compare-depth-float",
+            ),
+            pytest.param(
+                lambda g, p: repro.ExpectationEvaluator(repro.MaxCutProblem(g), "2"),
+                id="evaluator-depth-str",
+            ),
+            pytest.param(
+                lambda g, p: repro.ExpectationEvaluator(repro.MaxCutProblem(g), 1.5),
+                id="evaluator-depth-float",
+            ),
+            pytest.param(lambda g, p: repro.QAOASolver(num_restarts="2"), id="restarts-str"),
+            pytest.param(lambda g, p: repro.QAOASolver(candidate_pool="2"), id="pool-str"),
+            pytest.param(
+                lambda g, p: repro.QAOASolver().solve(repro.MaxCutProblem(g), 1, num_restarts="2"),
+                id="solve-restarts-str",
+            ),
+            pytest.param(
+                lambda g, p: repro.QAOASolver().solve(
+                    repro.MaxCutProblem(g), 1, candidate_pool="2"
+                ),
+                id="solve-pool-str",
+            ),
+            pytest.param(
+                lambda g, p: NoiseModel.from_dict({"rules": [{}]}), id="noise-rule-empty"
+            ),
+            pytest.param(lambda g, p: NoiseModel.from_dict([]), id="noise-payload-list"),
+        ],
+    )
+    def test_bad_input_raises_configuration_error(self, small_graph, tiny_predictor, call):
+        with pytest.raises(repro.ConfigurationError):
+            call(small_graph, tiny_predictor)

@@ -114,6 +114,26 @@ class TestFastBackend:
         with pytest.raises(SimulationError):
             FastMaxCutEvaluator(problem, max_qubits=2)
 
+    def test_flat_vector_equals_parameters_exactly(self, small_problem, rng):
+        # The evaluator's programs pass flat vectors and public callers may
+        # pass QAOAParameters; both must give the same bits.
+        fast = FastMaxCutEvaluator(small_problem)
+        for depth in (1, 2, 3):
+            vector = random_parameters(depth, rng).to_vector()
+            parameters = QAOAParameters.from_vector(vector)
+            assert fast.expectation(vector) == fast.expectation(parameters)
+            np.testing.assert_array_equal(
+                fast.statevector(vector).data, fast.statevector(parameters).data
+            )
+
+    @pytest.mark.parametrize("vector", [[], [0.1], [0.1, 0.2, 0.3]])
+    def test_empty_or_odd_vector_rejected(self, triangle_problem, vector):
+        fast = FastMaxCutEvaluator(triangle_problem)
+        with pytest.raises(ConfigurationError, match="positive even"):
+            fast.expectation(vector)
+        with pytest.raises(ConfigurationError, match="positive even"):
+            fast.statevector(vector)
+
 
 class TestExpectationEvaluator:
     def test_backends_agree(self, triangle_problem, rng):
@@ -122,13 +142,6 @@ class TestExpectationEvaluator:
         vector = random_parameters(2, rng).to_vector()
         assert fast.expectation(vector) == pytest.approx(
             circuit.expectation(vector), abs=1e-9
-        )
-
-    def test_negative_expectation_is_objective(self, triangle_problem, rng):
-        evaluator = ExpectationEvaluator(triangle_problem, 1)
-        vector = random_parameters(1, rng).to_vector()
-        assert evaluator.negative_expectation(vector) == pytest.approx(
-            -evaluator.expectation(vector)
         )
 
     def test_wrong_vector_length_raises(self, triangle_problem):

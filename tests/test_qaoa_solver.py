@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.graphs.maxcut import MaxCutProblem
 from repro.graphs.model import Graph
-from repro.optimizers.nelder_mead import NativeNelderMead
+from repro.optimizers.scipy_optimizers import NelderMeadOptimizer
 from repro.qaoa.landscape import depth_one_landscape
 from repro.qaoa.parameters import QAOAParameters
 from repro.qaoa.solver import QAOASolver
@@ -69,9 +69,9 @@ class TestSolverBasics:
             solver.solve(triangle_problem, 1, num_restarts=0)
 
     def test_accepts_optimizer_instance(self, triangle_problem):
-        solver = QAOASolver(NativeNelderMead(max_iterations=200), num_restarts=1, seed=2)
+        solver = QAOASolver(NelderMeadOptimizer(max_iterations=200), num_restarts=1, seed=2)
         result = solver.solve(triangle_problem, 1)
-        assert result.optimizer_name == "Nelder-Mead (native)"
+        assert result.optimizer_name == "Nelder-Mead"
         assert result.approximation_ratio > 0.6
 
     def test_deterministic_given_seed(self, triangle_problem):

@@ -11,7 +11,6 @@ from repro.qaoa.backends import FastBackend
 from repro.qaoa.circuit_builder import build_parametric_qaoa_circuit
 from repro.qaoa.cost import ExpectationEvaluator
 from repro.qaoa.fast_backend import FAST_BACKEND_MAX_QUBITS
-from repro.qaoa.parameters import QAOAParameters
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.density import DensityMatrixSimulator
 from repro.quantum.noise import (
@@ -415,7 +414,7 @@ class TestFastBackendNoise:
         """The delegate's register ceiling is the FWHT's, not the engine's."""
         program = FastBackend().compile(_problem(), 1)
         program.noisy_probabilities(
-            QAOAParameters.from_vector([0.4, 0.3]), NoiseModel.uniform_depolarizing(0.05), 0
+            np.array([0.4, 0.3]), NoiseModel.uniform_depolarizing(0.05), 0
         )
         simulator = program._trajectory_program._simulator
         assert simulator.max_qubits == FAST_BACKEND_MAX_QUBITS > StatevectorSimulator().max_qubits

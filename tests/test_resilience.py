@@ -391,6 +391,39 @@ class TestSolverCheckpointing:
         assert resumed.num_shots == plain.num_shots
         assert resumed.num_function_calls == plain.num_function_calls
 
+    def test_payload_with_progress_marker_still_resumes(self, problem):
+        # Older snapshots carry an observational "progress" marker; it is
+        # ignored on load, and the resume is still bit-identical.
+        counter = FaultInjector(FaultPlan())
+        plain = QAOASolver(
+            context=self.CONTEXT, num_restarts=3, fault_injector=counter
+        ).solve(problem, depth=1, seed=7)
+        # Kill the last restart, so the snapshot holds completed records.
+        kill_at = counter.operations("backend.evaluate") - 5
+        store = MemoryCheckpointStore()
+        injector = FaultInjector(
+            FaultPlan([Fault("backend.evaluate", kill_at, "fatal")])
+        )
+        crashed = QAOASolver(
+            context=self.CONTEXT, num_restarts=3, fault_injector=injector
+        )
+        with pytest.raises(ServiceError):
+            crashed.solve(
+                problem, depth=1, seed=7, checkpoint=CheckpointSlot(store, "job")
+            )
+        payload = dict(store.load("job"))
+        assert "progress" not in payload and payload["records"]
+        payload["progress"] = {"restart_index": 1, "evaluations": 10, "best_value": 1.5}
+        store.save("job", payload)
+        snapshot = SolverCheckpoint.from_payload(payload)
+        assert snapshot.to_payload() == {k: v for k, v in payload.items() if k != "progress"}
+        resume_slot = CheckpointSlot(store, "job")
+        resumed = QAOASolver(context=self.CONTEXT, num_restarts=3).solve(
+            problem, depth=1, seed=7, checkpoint=resume_slot
+        )
+        assert resume_slot.resumed
+        assert resumed.to_payload() == plain.to_payload()
+
     def test_resume_skips_completed_restarts(self, problem):
         store = MemoryCheckpointStore()
         solver = QAOASolver(context=self.CONTEXT, num_restarts=3)
@@ -430,24 +463,6 @@ class TestSolverCheckpointing:
     def test_invalid_checkpoint_argument(self, problem):
         with pytest.raises(CheckpointError, match="CheckpointSlot"):
             QAOASolver(seed=0).solve(problem, depth=1, seed=0, checkpoint=object())
-
-    def test_checkpoint_interval_writes_progress(self, problem):
-        store = MemoryCheckpointStore()
-        QAOASolver(context=self.CONTEXT, num_restarts=1).solve(
-            problem,
-            depth=1,
-            seed=3,
-            checkpoint=CheckpointSlot(store, "job"),
-            checkpoint_interval=10,
-        )
-        with pytest.raises(ConfigurationError, match="checkpoint_interval"):
-            QAOASolver(seed=0).solve(
-                problem,
-                depth=1,
-                seed=0,
-                checkpoint=store,
-                checkpoint_interval=0,
-            )
 
     def test_exact_backend_checkpoint_roundtrip(self, problem):
         # The deterministic oracle has no rng consumption; resume must
