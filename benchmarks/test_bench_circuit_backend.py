@@ -192,7 +192,7 @@ def test_structure_cache_amortises_compilation(bench_smoke):
 def test_circuit_vs_fast_backend_ratio(bench_smoke):
     """Track the remaining gap between the general engine and the fast path.
 
-    No winner is asserted — the MaxCut-specialised FWHT backend should stay
+    No winner is asserted — the MaxCut-specialised fast backend should stay
     ahead — but the ratio is recorded so regressions in either backend show
     up in the JSON trail.
     """

@@ -88,7 +88,7 @@ def test_stochastic_oracle_is_seed_deterministic(bench_smoke):
 def test_noisy_trajectory_backend_parity(bench_smoke):
     """Fast and circuit backends realise the same noise model.
 
-    The FWHT program delegates trajectories to a compiled-engine program of
+    The fast program delegates trajectories to a compiled-engine program of
     the same problem and depth, so a shared seed reproduces the same error
     pattern and the same estimate, bit for bit.
     """
@@ -132,7 +132,7 @@ def test_shot_estimation_overhead(bench_smoke):
         "sampled_ms": sampled_time * 1e3,
         "overhead_ratio": sampled_time / exact_time,
     }
-    # The multinomial draw is O(dim); it must not dominate the FWHT evolve
+    # The multinomial draw is O(dim); it must not dominate the fast evolve
     # by orders of magnitude at practical sizes.
     assert sampled_time < exact_time * 50, (exact_time, sampled_time)
 

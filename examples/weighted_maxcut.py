@@ -42,7 +42,7 @@ def main() -> None:
     )
 
     # Optimize a deeper circuit.  The candidate pool pre-screens random
-    # starts in one batched FWHT evaluation and only optimizes the best few.
+    # starts in one batched evaluation and only optimizes the best few.
     depth = 2 if SMOKE else 3
     pool = 16 if SMOKE else 32
     solver = QAOASolver(

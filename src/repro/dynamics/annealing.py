@@ -15,8 +15,8 @@ times.  The solve is **seedless and deterministic** (no sampling, no
 optimiser restarts), reports the same payload shape as
 :class:`~repro.qaoa.result.QAOAResult` (optimal expectation, cut
 distribution, timing), and runs only on the gate-level ``"circuit"``
-backend: a context naming the MaxCut-specialised ``"fast"`` FWHT, which has
-no continuous-time path, is refused at construction.
+backend: a context naming the MaxCut-specialised ``"fast"`` evaluator,
+which has no continuous-time path, is refused at construction.
 
 With ``dissipation`` set, the anneal runs as a Lindblad master equation on
 ``vec(rho)`` (register capped like the density oracle), modelling an open

@@ -2,7 +2,7 @@
 
 :class:`ExecutionContext` is the single way to describe *how* cost
 expectations are computed: which of the two engines (``"fast"``, the
-MaxCut-specialised FWHT, or ``"circuit"``, the compiled gate-level engine),
+MaxCut-specialised evaluator, or ``"circuit"``, the compiled gate-level engine),
 shots, noise, density, readout and seed policy.  Every consumer —
 :class:`~repro.qaoa.cost.ExpectationEvaluator`,
 :class:`~repro.qaoa.solver.QAOASolver`, the acceleration runners, the

@@ -45,7 +45,7 @@ from repro.utils.validation import _integer
 ContextLike = Union[None, str, "ExecutionContext"]
 
 #: The two execution engines, compiled by :mod:`repro.qaoa.backends`: the
-#: gate-level circuit engine and the MaxCut-specialised FWHT.
+#: gate-level circuit engine and the MaxCut-specialised evaluator.
 _BACKENDS = ("circuit", "fast")
 
 
@@ -56,7 +56,7 @@ class ExecutionContext:
     Parameters
     ----------
     backend:
-        ``"fast"`` (the FWHT, default) or ``"circuit"`` (the compiled
+        ``"fast"`` (the MaxCut evaluator, default) or ``"circuit"`` (the compiled
         gate-level engine), case-insensitive.
     shots:
         Finite shot budget per expectation evaluation (``None`` = exact

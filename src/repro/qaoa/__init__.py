@@ -9,12 +9,7 @@ from repro.qaoa.parameters import (
     random_parameters,
 )
 from repro.qaoa.circuit_builder import build_maxcut_qaoa_circuit, build_parametric_qaoa_circuit
-from repro.qaoa.fast_backend import (
-    DenseMaxCutEvaluator,
-    FastMaxCutEvaluator,
-    fwht_inplace,
-    walsh_hadamard_matrix,
-)
+from repro.qaoa.fast_backend import FastMaxCutEvaluator
 from repro.qaoa.backends import CircuitBackend, FastBackend
 from repro.qaoa.cost import ExpectationEvaluator
 from repro.qaoa.ensemble import EnsembleEvaluator
@@ -31,10 +26,7 @@ __all__ = [
     "canonicalize_for_graph",
     "build_maxcut_qaoa_circuit",
     "build_parametric_qaoa_circuit",
-    "DenseMaxCutEvaluator",
     "FastMaxCutEvaluator",
-    "fwht_inplace",
-    "walsh_hadamard_matrix",
     "FastBackend",
     "CircuitBackend",
     "ExpectationEvaluator",

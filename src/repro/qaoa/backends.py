@@ -1,4 +1,4 @@
-"""The two execution engines: ``fast`` (FWHT) and ``circuit`` (compiled gates).
+"""The two execution engines: ``fast`` (MaxCut kernels) and ``circuit`` (compiled gates).
 
 :func:`compile_program` lowers one ``(problem, depth)`` pair into a
 *program* for the engine an :class:`~repro.execution.ExecutionContext`
@@ -19,7 +19,7 @@ checked:
   density-matrix distribution (``"circuit"`` programs compiled with
   ``density=True``).
 
-The compiled engine is the only trajectory sampler: the FWHT program
+The compiled engine is the only trajectory sampler: the fast program
 delegates ``noisy_probabilities`` to a circuit program of the same problem
 and depth, so seeded ``"fast"`` and ``"circuit"`` contexts sample
 bit-identical trajectories.
@@ -42,7 +42,7 @@ from repro.utils.rng import RandomState
 
 
 class _FastProgram:
-    """The MaxCut-specialised FWHT evaluator behind the program surface."""
+    """The MaxCut-specialised evaluator behind the program surface."""
 
     def __init__(self, problem: MaxCutProblem, depth: int):
         self._evaluator = FastMaxCutEvaluator(problem)
@@ -60,8 +60,8 @@ class _FastProgram:
         return self._evaluator.statevector(vector).probabilities()
 
     def probability_rows(self, block: np.ndarray) -> np.ndarray:
-        # The FWHT sweep produces (dim, batch) amplitude columns; the
-        # batch-major probability rows are a cheap real-matrix view.
+        # The (dim, batch) columns are a transposed view of batch-major
+        # rows, so the probability rows come out row-major.
         columns = self._evaluator.statevector_batch(block)
         return (columns.real**2 + columns.imag**2).T
 
@@ -69,7 +69,7 @@ class _FastProgram:
         self, vector: np.ndarray, noise_model: NoiseModel, rng: RandomState
     ) -> np.ndarray:
         # Two threads racing here may both build one; either serves.  The
-        # delegate accepts every register the FWHT does.
+        # delegate accepts every register the fast evaluator does.
         if self._trajectory_program is None:
             self._trajectory_program = _CircuitProgram(
                 self._evaluator.problem, self._depth, max_qubits=FAST_BACKEND_MAX_QUBITS
@@ -159,7 +159,7 @@ class _CircuitProgram:
 
 
 class FastBackend:
-    """The MaxCut-specialised FWHT engine (``"fast"``)."""
+    """The MaxCut-specialised engine (``"fast"``)."""
 
     def compile(self, problem: MaxCutProblem, depth: int) -> _FastProgram:
         return _FastProgram(problem, depth)

@@ -26,7 +26,7 @@ Pauli-trajectories), and **readout assignment errors**
 by ``mitigate_readout=True`` confusion-matrix inversion).  All knobs work on
 both backends, are deterministic for a seeded ``rng``, and leave the default
 configuration bit-identical to the exact evaluator.  Noise trajectories
-always run on the compiled circuit engine (the FWHT program delegates them),
+always run on the compiled circuit engine (the fast program delegates them),
 so a seeded noisy evaluation returns the same bits on either backend.
 
 ``density=True`` (circuit backend only) swaps the trajectory sampler for the
@@ -367,7 +367,7 @@ class ExpectationEvaluator:
     def expectation_batch(self, params_matrix) -> np.ndarray:
         """Cost expectations for a whole ``(batch, 2p)`` matrix of angle sets.
 
-        The fast backend evolves all columns through one vectorized FWHT pass
+        The fast backend evolves the rows in cache-sized blocks
         (see :meth:`FastMaxCutEvaluator.expectation_batch`); the circuit
         backend re-binds its compiled parametric circuit and sweeps the whole
         batch through :meth:`StatevectorSimulator.expectation_batch` — no

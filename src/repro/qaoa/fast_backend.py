@@ -5,128 +5,102 @@ of times, so this backend exploits the structure of the MaxCut QAOA ansatz
 instead of applying gates one by one:
 
 * the phase-separation unitary ``exp(-i gamma H_C)`` is diagonal in the
-  computational basis (the diagonal is the cut-value table), and
-* the mixing unitary ``exp(-i beta sum_q X_q)`` is diagonal in the Hadamard
-  basis, so it is applied as ``W diag(exp(-i beta (n - 2 popcount))) W`` with
-  ``W`` the normalised Walsh-Hadamard transform.
+  computational basis, and the diagonal (the cut-value table) takes at most
+  ``2^(n-1)`` distinct *levels*, and at most ``m + 1`` on an unweighted
+  graph with ``m`` edges.  A level index is built once per evaluator (whole
+  cut values below ``2^n`` index themselves, any other diagonal is sorted),
+  so each layer's phase is ``exp(-i gamma levels)`` gathered through it: the
+  same bits as exponentiating the whole diagonal;
+* the mixing unitary ``exp(-i beta sum_q X_q)`` is ``RX(2 beta)`` on every
+  qubit.  The qubits are split into ``ceil(n / 4)`` groups, and each group's
+  Kronecker factor ``RX(2 beta)^{(x) k}`` (at most ``16 x 16``) is one GEMM
+  against the state viewed with the group's qubits as the contraction
+  index, written into the other of two ping-pong buffers.
 
-``W`` is never materialised: :func:`fwht_inplace` applies it as an in-place
-radix-2 butterfly in ``O(n 2^n)`` operations and ``O(2^n)`` memory, which is
-what lifts the practical qubit ceiling from the ~14 qubits a dense
-``2^n x 2^n`` matrix allows into the high twenties.  The butterfly operates
-on the leading axis, so a whole ``(dim, batch)`` matrix of amplitude columns
-is transformed in one pass — :meth:`FastMaxCutEvaluator.expectation_batch`
-uses this to evaluate many angle sets per problem in a single vectorized
-sweep (landscape grids, restart screening, finite-difference gradients).
+Memory is ``O(2^n)``: two state buffers per thread (2 GiB at the 26-qubit
+ceiling) plus the cost diagonal and its level index.  Batches are evolved
+row-major in blocks of at most :data:`_BLOCK_ELEMENTS` amplitudes, so
+:meth:`FastMaxCutEvaluator.expectation_batch` (landscape grids, restart
+screening) streams cache-sized blocks through the same two buffers instead of
+materialising a ``(dim, batch)`` matrix.
 
-The result is numerically identical (up to global phase) to running the
-gate-level circuit through :class:`~repro.quantum.simulator.StatevectorSimulator`,
-which the test-suite verifies.  The old dense-matrix implementation survives
-as :class:`DenseMaxCutEvaluator`, kept only as a test oracle and benchmark
-baseline.
+The result equals (up to global phase) running the gate-level circuit through
+the generic :class:`~repro.quantum.simulator.StatevectorSimulator`, which the
+test-suite checks on generated graphs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.graphs.maxcut import MaxCutProblem
 from repro.qaoa.parameters import QAOAParameters
-from repro.quantum.engine import BATCH_ELEMENT_BUDGET
 from repro.quantum.statevector import Statevector
 
-#: Default qubit ceiling of the FWHT backend.  The limiting resource is the
-#: ``O(2^n)`` amplitude buffer (1 GiB of complex128 at n = 26), not compute.
+#: Default qubit ceiling of the fast backend.  The limiting resource is the
+#: pair of ``O(2^n)`` state buffers (2 GiB of complex128 at n = 26).
 FAST_BACKEND_MAX_QUBITS = 26
 
-#: Default qubit ceiling of the dense oracle (the 2^n x 2^n matrix costs
-#: 2 GiB of float64 already at n = 14).
-DENSE_BACKEND_MAX_QUBITS = 14
+#: Complex128 amplitudes evolved per block sweep (512 KiB per buffer): a
+#: batch runs in blocks of ``max(1, _BLOCK_ELEMENTS // dim)`` rows.
+_BLOCK_ELEMENTS = 2**15
 
-#: Peak complex128 elements evolved per batched sweep (~256 MiB); the single
-#: shared budget lives in :mod:`repro.quantum.engine`.  Batches wider than
-#: ``budget // dim`` columns are processed in chunks of that width, which
-#: bounds transient memory without losing vectorization at the
-#: small-to-medium qubit counts where batching matters most.
-_BATCH_ELEMENT_BUDGET = BATCH_ELEMENT_BUDGET
+#: Qubits per Kronecker factor of the mixer (a ``16 x 16`` block).
+_GROUP_QUBITS = 4
 
 ParameterBatch = Union[np.ndarray, Sequence[Union[QAOAParameters, Sequence[float]]]]
 
 
-def fwht_inplace(array: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """Unnormalised fast Walsh-Hadamard transform along axis 0, in place.
+@functools.lru_cache(maxsize=None)
+def _block_plan(num_qubits: int):
+    """Exponents, ``(-i)^d`` signs and Hamming distances of a ``k``-qubit block.
 
-    *array* has shape ``(dim, ...)`` with ``dim`` a power of two; trailing
-    axes are independent columns, so a ``(dim, batch)`` matrix is transformed
-    in one call.  *scratch* is an optional reusable work buffer holding at
-    least ``dim // 2`` elements per column (it is allocated when omitted).
-    Returns *array* for chaining.  The normalised transform is
-    ``fwht_inplace(a) / sqrt(dim)``.
+    Built with Python integers: first use of NumPy's integer bit loops would
+    page in code that no other step of the loop needs.
     """
-    dim = array.shape[0]
-    if dim & (dim - 1) or dim == 0:
-        raise SimulationError(f"FWHT length must be a power of two, got {dim}")
-    if dim == 1:
-        return array
-    half_shape = (dim // 2,) + array.shape[1:]
-    if scratch is None or scratch.size < np.prod(half_shape, dtype=int):
-        scratch = np.empty(half_shape, dtype=array.dtype)
-    block = 1
-    while block < dim:
-        view = array.reshape((dim // (2 * block), 2, block) + array.shape[1:])
-        upper = view[:, 0]
-        lower = view[:, 1]
-        tmp = scratch.reshape(-1)[: upper.size].reshape(upper.shape)
-        np.copyto(tmp, upper)
-        upper += lower
-        np.subtract(tmp, lower, out=lower)
-        block *= 2
-    return array
+    flips = range(num_qubits + 1)
+    width = 1 << num_qubits
+    return (
+        np.array([float(num_qubits - d) for d in flips]),
+        np.array([float(d) for d in flips]),
+        np.array([(-1j) ** d for d in flips]),
+        np.array([[bin(row ^ col).count("1") for col in range(width)] for row in range(width)]),
+    )
 
 
-def walsh_hadamard_matrix(num_qubits: int) -> np.ndarray:
-    """The normalised ``H^{(x) n}`` matrix: ``W[i, j] = (-1)^popcount(i & j) / sqrt(N)``.
+def _mixer_blocks(betas: np.ndarray, num_qubits: int) -> np.ndarray:
+    """``RX(2 beta)^{(x) k}`` for each row's angle, shape ``(rows, 2^k, 2^k)``.
 
-    Exponential in memory (``O(4^n)``) — only the dense test oracle builds it.
+    Entry ``(r, c)`` is ``cos(beta)^(k - d) (-i sin(beta))^d`` with
+    ``d = popcount(r ^ c)``, so the block is gathered from ``k + 1`` factors.
+    It is symmetric, so it may act from either side.
     """
-    size = 2**num_qubits
-    indices = np.arange(size)
-    parity = np.zeros((size, size), dtype=np.int64)
-    overlap = indices[:, None] & indices[None, :]
-    # popcount of every entry of the overlap matrix
-    value = overlap.copy()
-    while value.any():
-        parity += value & 1
-        value >>= 1
-    return ((-1.0) ** (parity % 2)) / math.sqrt(size)
+    stays, flips, signs, distances = _block_plan(num_qubits)
+    factors = np.cos(betas)[:, None] ** stays * (np.sin(betas)[:, None] ** flips * signs)
+    return factors[:, distances]
 
 
-def _popcounts(dim: int) -> np.ndarray:
-    """Popcount of every basis index ``0 .. dim-1`` as a float array."""
-    indices = np.arange(dim)
-    popcounts = np.zeros(dim, dtype=float)
-    value = indices.copy()
-    while value.any():
-        popcounts += value & 1
-        value >>= 1
-    return popcounts
+def _floats(value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as error:
+        raise ConfigurationError(f"angles must be real numbers, got {value!r}") from error
 
 
 class FastMaxCutEvaluator:
     """Evaluate QAOA states and cost expectations for one MaxCut problem.
 
-    The evaluator owns reusable work buffers (amplitude vector + FWHT
-    scratch), so repeated scalar :meth:`expectation` calls allocate nothing
-    beyond the per-layer phase factors, and :meth:`expectation_batch`
-    amortises the Python-level loop over a whole matrix of angle sets.
-    Buffers live in thread-local storage and the evaluation counter is
-    lock-protected, so one evaluator instance may be shared by concurrent
-    threads (each thread pays for its own buffers on first use).
+    Every evaluation evolves a block of angle rows through :meth:`_evolve`;
+    a scalar call is a block of one.  The two state buffers live in
+    thread-local storage and the evaluation counter is lock-protected, so one
+    evaluator instance may be shared by concurrent threads (each thread pays
+    for its own buffers on first use).
     """
 
     def __init__(self, problem: MaxCutProblem, max_qubits: int = FAST_BACKEND_MAX_QUBITS):
@@ -138,32 +112,24 @@ class FastMaxCutEvaluator:
         self._problem = problem
         self._num_qubits = problem.num_qubits
         self._dim = 2**self._num_qubits
-        self._cost_diagonal = problem.cost_diagonal()
-        # Eigenvalues of sum_q X_q in the Hadamard-transformed basis.
-        self._mixer_diagonal = self._num_qubits - 2.0 * _popcounts(self._dim)
+        self._cost_diagonal = diagonal = problem.cost_diagonal()
+        # Whole cut values below dim (every unweighted graph's) are their own
+        # level index; any other diagonal is sorted once.  Either way there
+        # are at most dim levels.
+        if 0 <= diagonal.min() and diagonal.max() < self._dim and np.all(diagonal % 1 == 0):
+            levels, self._level_index = np.arange(diagonal.max() + 1), diagonal.astype(np.intp)
+        else:
+            levels, self._level_index = np.unique(diagonal, return_inverse=True)
+        self._phase_angles = -1j * levels
+        groups = -(-self._num_qubits // _GROUP_QUBITS)
+        self._group_sizes = tuple(
+            self._num_qubits // groups + (index < self._num_qubits % groups)
+            for index in range(groups)
+        )
+        self._rows_per_block = max(1, _BLOCK_ELEMENTS // self._dim)
         self._num_evaluations = 0
         self._counter_lock = threading.Lock()
-        # Reusable work buffers, allocated lazily on first use.  Kept in
-        # thread-local storage so one evaluator can serve concurrent callers
-        # (the service tier shares compiled programs across worker threads):
-        # each thread gets its own amplitude vector and FWHT scratch.
         self._buffers = threading.local()
-
-    def _scratch_for(self, min_elements: int) -> np.ndarray:
-        """This thread's FWHT scratch buffer, grown to *min_elements*."""
-        scratch = getattr(self._buffers, "scratch", None)
-        if scratch is None or scratch.size < min_elements:
-            scratch = np.empty(min_elements, dtype=complex)
-            self._buffers.scratch = scratch
-        return scratch
-
-    def _state_buffer_for(self) -> np.ndarray:
-        """This thread's reusable ``(dim,)`` amplitude buffer."""
-        buffer = getattr(self._buffers, "state", None)
-        if buffer is None:
-            buffer = np.empty(self._dim, dtype=complex)
-            self._buffers.state = buffer
-        return buffer
 
     def _count_evaluations(self, count: int = 1) -> None:
         with self._counter_lock:
@@ -195,94 +161,91 @@ class FastMaxCutEvaluator:
     # ------------------------------------------------------------------
     # Evolution
     # ------------------------------------------------------------------
-    def _evolve_inplace(self, amplitudes: np.ndarray, gammas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-        """Apply the QAOA layers to *amplitudes* (shape ``(dim,)`` or ``(dim, batch)``).
+    def _buffers_for(self, rows: int) -> Tuple[np.ndarray, np.ndarray]:
+        """This thread's two ``(rows, dim)`` state buffers (grown on demand)."""
+        pair = getattr(self._buffers, "pair", None)
+        size = rows * self._dim
+        if pair is None or pair[0].size < size:
+            pair = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
+            self._buffers.pair = pair
+        return pair[0][:size].reshape(rows, -1), pair[1][:size].reshape(rows, -1)
 
-        *gammas* / *betas* have shape ``(depth,)`` for a single column or
-        ``(depth, batch)`` for per-column angles.  The two ``1/sqrt(dim)``
-        normalisations of each layer are folded into the mixer phase, so each
-        layer costs two unnormalised butterflies plus two element-wise
-        multiplies.
+    def _evolve(self, matrix: np.ndarray) -> np.ndarray:
+        """QAOA states of one block of ``(rows, 2p)`` angle rows.
+
+        Returns a ``(rows, dim)`` view of one of this thread's buffers, valid
+        until the thread's next evolution.
         """
-        scratch = self._scratch_for(amplitudes.size // 2)
-        cost = self._cost_diagonal
-        mixer = self._mixer_diagonal
-        if amplitudes.ndim == 2:
-            # Broadcasting (dim, 1) diagonals against (depth, batch) angle rows
-            # gives per-column phases in one outer product per layer.
-            cost = cost[:, None]
-            mixer = mixer[:, None]
-        inv_dim = 1.0 / self._dim
-        for gamma, beta in zip(gammas, betas):
-            amplitudes *= np.exp(-1j * cost * gamma)
-            fwht_inplace(amplitudes, scratch)
-            amplitudes *= np.exp(-1j * mixer * beta) * inv_dim
-            fwht_inplace(amplitudes, scratch)
-        return amplitudes
+        rows, depth = matrix.shape[0], matrix.shape[1] // 2
+        state, spare = self._buffers_for(rows)
+        state.fill(1.0 / math.sqrt(self._dim))
+        for layer in range(depth):
+            phases = np.exp(self._phase_angles * matrix[:, layer, None])
+            np.take(phases, self._level_index, axis=1, out=spare, mode="clip")
+            state *= spare
+            blocks = {}
+            for size in self._group_sizes:
+                if size not in blocks:
+                    blocks[size] = _mixer_blocks(matrix[:, depth + layer], size)
+                # The group's qubits are the top bits of the current layout,
+                # and the product leaves them at the bottom: after all groups
+                # the amplitudes are back in basis order.
+                width = 1 << size
+                top = state.reshape(rows, width, -1).transpose(0, 2, 1)
+                np.matmul(top, blocks[size], out=spare.reshape(rows, -1, width))
+                state, spare = spare, state
+        return state
 
-    def _coerce_batch(self, params_matrix: ParameterBatch) -> np.ndarray:
-        """Normalise a batch of angle sets to a float matrix ``(batch, 2p)``."""
+    def _angle_matrix(self, params_matrix: ParameterBatch) -> np.ndarray:
+        """Validate a batch of angle sets as a float ``(batch, 2p)`` matrix.
+
+        Every row must hold a positive, even number of angles, all rows the
+        same number; anything else raises :class:`ConfigurationError`.
+        """
         if isinstance(params_matrix, np.ndarray) and params_matrix.ndim == 2:
-            matrix = np.asarray(params_matrix, dtype=float)
+            matrix = _floats(params_matrix)
         else:
-            rows = []
-            for row in params_matrix:
-                if isinstance(row, QAOAParameters):
-                    rows.append(row.to_vector())
-                else:
-                    rows.append(np.asarray(row, dtype=float).reshape(-1))
+            rows = [
+                row.to_vector() if isinstance(row, QAOAParameters) else _floats(row).reshape(-1)
+                for row in params_matrix
+            ]
             if len({row.size for row in rows}) > 1:
-                raise SimulationError(
-                    "all angle sets of a batch must have the same depth"
-                )
-            if rows:
-                matrix = np.asarray(rows, dtype=float)
-            else:
-                matrix = np.zeros((0, 0), dtype=float)
-        if matrix.ndim != 2 or (matrix.size and matrix.shape[1] % 2 != 0):
-            raise SimulationError(
-                f"parameter batch must be (batch, 2p), got shape {matrix.shape}"
+                raise ConfigurationError("all angle sets of a batch must have the same depth")
+            matrix = np.asarray(rows, dtype=float) if rows else np.zeros((0, 0))
+        width = matrix.shape[1]
+        if matrix.shape[0] and (width == 0 or width % 2):
+            raise ConfigurationError(
+                f"parameter vector length must be a positive even number, got {width}"
             )
         return matrix
 
-    @staticmethod
-    def _angles(parameters) -> Tuple[np.ndarray, np.ndarray]:
-        """``(gammas, betas)`` of a :class:`QAOAParameters` or a flat vector.
+    def _blocks(self, matrix: np.ndarray):
+        """Yield ``(start, stop, states)`` for consecutive row blocks of *matrix*."""
+        for start in range(0, matrix.shape[0], self._rows_per_block):
+            stop = start + self._rows_per_block
+            yield start, stop, self._evolve(matrix[start:stop])
 
-        A flat ``[gammas..., betas...]`` vector is split into two views.
-        """
-        if isinstance(parameters, QAOAParameters):
-            return np.asarray(parameters.gammas), np.asarray(parameters.betas)
-        vector = np.asarray(parameters, dtype=float).reshape(-1)
-        if vector.size == 0 or vector.size % 2 != 0:
-            raise ConfigurationError(
-                f"parameter vector length must be a positive even number, got {vector.size}"
-            )
-        depth = vector.size // 2
-        return vector[:depth], vector[depth:]
+    def _expectations(self, states: np.ndarray) -> np.ndarray:
+        return (states.real**2 + states.imag**2) @ self._cost_diagonal
 
     def statevector(self, parameters) -> Statevector:
         """The QAOA output state ``|psi(gamma, beta)>``."""
-        amplitudes = np.full(self._dim, 1.0 / math.sqrt(self._dim), dtype=complex)
-        self._evolve_inplace(amplitudes, *self._angles(parameters))
-        return Statevector(amplitudes, copy=False, validate=False)
+        states = self._evolve(self._angle_matrix([parameters]))
+        return Statevector(states[0].copy(), copy=False, validate=False)
 
     def statevector_batch(self, params_matrix: ParameterBatch) -> np.ndarray:
         """Amplitude columns for a batch of angle sets, shape ``(dim, batch)``.
 
-        The full matrix is materialised (that is the return value); callers
-        that only need expectations should use :meth:`expectation_batch`,
-        which processes memory-bounded chunks instead.
+        The full matrix is materialised (that is the return value, a
+        transposed view of batch-major rows); callers that only need
+        expectations should use :meth:`expectation_batch`, which streams
+        cache-sized blocks instead.
         """
-        matrix = self._coerce_batch(params_matrix)
-        batch = matrix.shape[0]
-        amplitudes = np.full((self._dim, batch), 1.0 / math.sqrt(self._dim), dtype=complex)
-        if batch == 0:
-            return amplitudes
-        depth = matrix.shape[1] // 2
-        gammas = matrix[:, :depth].T.copy()  # (depth, batch)
-        betas = matrix[:, depth:].T.copy()
-        return self._evolve_inplace(amplitudes, gammas, betas)
+        matrix = self._angle_matrix(params_matrix)
+        rows = np.empty((matrix.shape[0], self._dim), dtype=complex)
+        for start, stop, states in self._blocks(matrix):
+            rows[start:stop] = states
+        return rows.T
 
     # ------------------------------------------------------------------
     # Expectations
@@ -293,37 +256,25 @@ class FastMaxCutEvaluator:
         *parameters* is a :class:`QAOAParameters` or a flat
         ``[gammas..., betas...]`` vector.
         """
-        gammas, betas = self._angles(parameters)
-        amplitudes = self._state_buffer_for()
-        amplitudes.fill(1.0 / math.sqrt(self._dim))
-        self._evolve_inplace(amplitudes, gammas, betas)
+        states = self._evolve(self._angle_matrix([parameters]))
         self._count_evaluations()
-        probabilities = amplitudes.real**2 + amplitudes.imag**2
-        return float(np.dot(probabilities, self._cost_diagonal))
+        return float(self._expectations(states)[0])
 
     def expectation_batch(self, params_matrix: ParameterBatch) -> np.ndarray:
         """Cost expectations for many angle sets in one vectorized pass.
 
         *params_matrix* is a ``(batch, 2p)`` matrix (or a sequence of
         :class:`QAOAParameters` / flat vectors, all of the same depth).
-        Returns a ``(batch,)`` float array; ``(dim, chunk)`` amplitude
-        blocks are evolved through the butterflies at once, so the
-        per-evaluation overhead is a fraction of ``batch`` scalar calls.
-        The chunk width caps the transient amplitude matrix at ~256 MiB
-        regardless of batch size, so a 32x32 landscape grid on a 20-qubit
-        problem does not balloon peak memory.
+        Returns a ``(batch,)`` float array.  Rows are evolved in blocks of
+        at most :data:`_BLOCK_ELEMENTS` amplitudes, so the per-evaluation
+        overhead is a fraction of ``batch`` scalar calls and transient
+        memory stays at the two block buffers whatever the batch size.
         """
-        matrix = self._coerce_batch(params_matrix)
-        batch = matrix.shape[0]
-        if batch == 0:
-            return np.zeros(0, dtype=float)
-        chunk = max(1, _BATCH_ELEMENT_BUDGET // self._dim)
-        values = np.empty(batch, dtype=float)
-        for start in range(0, batch, chunk):
-            amplitudes = self.statevector_batch(matrix[start : start + chunk])
-            probabilities = amplitudes.real**2 + amplitudes.imag**2
-            values[start : start + chunk] = self._cost_diagonal @ probabilities
-        self._count_evaluations(batch)
+        matrix = self._angle_matrix(params_matrix)
+        values = np.zeros(matrix.shape[0], dtype=float)
+        for start, stop, states in self._blocks(matrix):
+            values[start:stop] = self._expectations(states)
+        self._count_evaluations(matrix.shape[0])
         return values
 
     def approximation_ratio(self, parameters) -> float:
@@ -341,62 +292,3 @@ class FastMaxCutEvaluator:
             }
             for bitstring, count in counts.items()
         }
-
-
-class DenseMaxCutEvaluator:
-    """Dense-matrix reference implementation (test oracle / benchmark baseline).
-
-    This is the pre-FWHT backend: the mixing layer is applied by multiplying
-    with an explicit ``2^n x 2^n`` Walsh-Hadamard matrix, which costs
-    ``O(4^n)`` time per layer and ``O(4^n)`` memory up front.  It exists so
-    tests can check the butterfly against an independent implementation and
-    so benchmarks can quantify the speed-up; production code must use
-    :class:`FastMaxCutEvaluator`.
-    """
-
-    def __init__(self, problem: MaxCutProblem, max_qubits: int = DENSE_BACKEND_MAX_QUBITS):
-        if problem.num_qubits > max_qubits:
-            raise SimulationError(
-                f"problem has {problem.num_qubits} qubits, exceeding the dense-oracle "
-                f"limit of {max_qubits} (the 2^n x 2^n matrix would not fit in memory)"
-            )
-        self._problem = problem
-        self._dim = 2**problem.num_qubits
-        self._cost_diagonal = problem.cost_diagonal()
-        self._hadamard = walsh_hadamard_matrix(problem.num_qubits)
-        self._mixer_diagonal = problem.num_qubits - 2.0 * _popcounts(self._dim)
-
-    @property
-    def problem(self) -> MaxCutProblem:
-        """The MaxCut problem this oracle is specialised for."""
-        return self._problem
-
-    def _walsh_hadamard_apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Apply the normalised Walsh-Hadamard matrix to a complex vector.
-
-        The complex vector is viewed as a ``(dim, 2)`` real matrix so the
-        transform is a single real matrix product (avoiding a complex upcast
-        of the Hadamard matrix on every call).
-        """
-        stacked = np.empty((self._dim, 2), dtype=float)
-        stacked[:, 0] = amplitudes.real
-        stacked[:, 1] = amplitudes.imag
-        transformed = self._hadamard @ stacked
-        return np.ascontiguousarray(transformed).view(np.complex128).ravel()
-
-    def statevector(self, parameters) -> Statevector:
-        """The QAOA output state, computed through dense matrix products."""
-        if not isinstance(parameters, QAOAParameters):
-            parameters = QAOAParameters.from_vector(np.asarray(parameters, dtype=float))
-        amplitudes = np.full(self._dim, 1.0 / math.sqrt(self._dim), dtype=complex)
-        for gamma, beta in zip(parameters.gammas, parameters.betas):
-            amplitudes *= np.exp(-1j * gamma * self._cost_diagonal)
-            amplitudes = self._walsh_hadamard_apply(amplitudes)
-            amplitudes *= np.exp(-1j * beta * self._mixer_diagonal)
-            amplitudes = self._walsh_hadamard_apply(amplitudes)
-        return Statevector(amplitudes, copy=False, validate=False)
-
-    def expectation(self, parameters) -> float:
-        """Expectation value of the cost Hamiltonian in the QAOA state."""
-        state = self.statevector(parameters)
-        return float(np.dot(np.abs(state.data) ** 2, self._cost_diagonal))

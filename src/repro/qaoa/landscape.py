@@ -50,7 +50,7 @@ def depth_one_landscape(
     gamma_values = np.linspace(0.0, GAMMA_MAX, gamma_resolution, endpoint=False)
     beta_values = np.linspace(0.0, BETA_MAX, beta_resolution, endpoint=False)
     # The whole grid is one (R*C, 2) parameter batch: every grid point rides
-    # the same vectorized FWHT sweep instead of R*C scalar evaluations.
+    # the same blocked sweeps instead of R*C scalar evaluations.
     gamma_grid, beta_grid = np.meshgrid(gamma_values, beta_values, indexing="ij")
     batch = np.column_stack([gamma_grid.ravel(), beta_grid.ravel()])
     expectations = evaluator.expectation_batch(batch).reshape(

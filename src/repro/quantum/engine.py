@@ -66,7 +66,8 @@ _BMM_MAX_BITS = 3
 
 #: Peak complex128 elements evolved per batched sweep (~256 MiB).  Shared by
 #: every chunked batch consumer (the simulator's ``expectation_batch`` and
-#: the fast backend) so their memory policies cannot silently diverge.
+#: the evaluator's probability-row chunks) so their memory policies cannot
+#: silently diverge.
 BATCH_ELEMENT_BUDGET = 2**24
 
 _EYE2 = np.eye(2, dtype=np.complex128)

@@ -41,8 +41,8 @@ Placement semantics
 Errors are attached *after* the gate that triggers them.  The generic
 (``compiled=False``) simulator path inserts each sampled Pauli exactly there.
 The compiled engine applies the errors at the boundary of the fused op
-containing the gate; the FWHT fast backend uses the same layer-boundary
-placement, so the two production backends realise the **same** noise model
+containing the gate, and the ``"fast"`` backend hands its trajectories to
+that engine, so the two production backends realise the **same** noise model
 (identical trajectories from a shared generator).  Boundary placement
 coincides with per-instruction placement exactly when the error commutes
 with the remainder of its fused op — true for every error attached to a

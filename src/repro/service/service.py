@@ -389,6 +389,10 @@ class SolverService:
         explicit_seed = seed is not None
         if explicit_seed:
             seed = _integer(seed, "seed")
+        if num_restarts is not None:
+            num_restarts = _integer(num_restarts, "num_restarts", minimum=1)
+        if candidate_pool is not None:
+            candidate_pool = _integer(candidate_pool, "candidate_pool", minimum=1)
         if checkpoint:
             if self._checkpoint_store is None:
                 raise ConfigurationError(

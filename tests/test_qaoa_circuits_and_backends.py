@@ -126,13 +126,15 @@ class TestFastBackend:
                 fast.statevector(vector).data, fast.statevector(parameters).data
             )
 
-    @pytest.mark.parametrize("vector", [[], [0.1], [0.1, 0.2, 0.3]])
+    @pytest.mark.parametrize("vector", [[], [0.1], [0.1, 0.2, 0.3], ["a", "b"]])
     def test_empty_or_odd_vector_rejected(self, triangle_problem, vector):
+        # Every entry point refuses malformed angles with the same type; the
+        # batch methods get the vector as a one-row batch.
         fast = FastMaxCutEvaluator(triangle_problem)
-        with pytest.raises(ConfigurationError, match="positive even"):
-            fast.expectation(vector)
-        with pytest.raises(ConfigurationError, match="positive even"):
-            fast.statevector(vector)
+        for method in ("expectation", "statevector", "expectation_batch", "statevector_batch"):
+            argument = [vector] if method.endswith("_batch") else vector
+            with pytest.raises(ConfigurationError, match="positive even|real numbers"):
+                getattr(fast, method)(argument)
 
 
 class TestExpectationEvaluator:

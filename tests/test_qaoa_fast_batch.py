@@ -1,56 +1,128 @@
-"""Tests for the FWHT evaluation engine: butterflies, batching, ensembles."""
+"""Tests for the fast MaxCut evaluator: the oracles, batching, ensembles."""
+
+import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import ConfigurationError
 from repro.graphs.generators import erdos_renyi_graph
 from repro.graphs.maxcut import MaxCutProblem
+from repro.graphs.model import Graph
+from repro.qaoa.circuit_builder import build_parametric_qaoa_circuit
 from repro.qaoa.cost import ExpectationEvaluator
 from repro.qaoa.ensemble import EnsembleEvaluator
-from repro.qaoa.fast_backend import (
-    DenseMaxCutEvaluator,
-    FastMaxCutEvaluator,
-    fwht_inplace,
-    walsh_hadamard_matrix,
-)
+from repro.qaoa.fast_backend import _BLOCK_ELEMENTS, FastMaxCutEvaluator
 from repro.qaoa.landscape import depth_one_landscape
 from repro.qaoa.parameters import QAOAParameters, random_parameters
 from repro.qaoa.solver import QAOASolver
+from repro.quantum.simulator import StatevectorSimulator
 
 
-class TestFWHT:
-    @pytest.mark.parametrize("num_qubits", range(1, 11))
-    def test_matches_dense_matrix_on_random_states(self, num_qubits, rng):
-        dim = 2**num_qubits
-        state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        dense = walsh_hadamard_matrix(num_qubits) @ state
-        butterfly = fwht_inplace(state.copy()) / np.sqrt(dim)
-        np.testing.assert_allclose(butterfly, dense, atol=1e-10)
+@st.composite
+def qaoa_cases(draw):
+    """A weighted or unweighted graph on 2-10 nodes and depth-1-3 angles."""
+    num_nodes = draw(st.integers(min_value=2, max_value=10))
+    pairs = [(u, v) for u in range(num_nodes) for v in range(u + 1, num_nodes)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    if draw(st.booleans()):
+        weights = st.floats(min_value=0.1, max_value=3.0, allow_nan=False)
+        chosen = [(u, v, draw(weights)) for u, v in chosen]
+    depth = draw(st.integers(min_value=1, max_value=3))
+    angle = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
+    rows = draw(
+        st.lists(st.lists(angle, min_size=2 * depth, max_size=2 * depth), min_size=1, max_size=4)
+    )
+    return MaxCutProblem(Graph(num_nodes, chosen)), depth, np.array(rows)
 
-    def test_transforms_batch_columns_independently(self, rng):
-        dim, batch = 64, 7
-        matrix = rng.normal(size=(dim, batch)) + 1j * rng.normal(size=(dim, batch))
-        expected = np.column_stack(
-            [fwht_inplace(matrix[:, j].copy()) for j in range(batch)]
-        )
-        np.testing.assert_allclose(fwht_inplace(matrix.copy()), expected, atol=1e-10)
 
-    def test_is_an_involution_up_to_scale(self, rng):
-        state = rng.normal(size=32)
-        twice = fwht_inplace(fwht_inplace(state.copy()))
-        np.testing.assert_allclose(twice, 32 * state, atol=1e-10)
+def generic_state(problem, depth, vector):
+    """The gate-by-gate state of the parametric circuit (the independent oracle)."""
+    circuit, gammas, betas = build_parametric_qaoa_circuit(problem, depth)
+    bindings = dict(zip(list(gammas) + list(betas), vector))
+    return StatevectorSimulator(compiled=False).run(circuit, bindings)
 
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(SimulationError):
-            fwht_inplace(np.zeros(12))
 
-    def test_reuses_caller_scratch(self, rng):
-        state = rng.normal(size=16)
-        scratch = np.empty(8)
-        np.testing.assert_allclose(
-            fwht_inplace(state.copy(), scratch), fwht_inplace(state.copy()), atol=1e-12
-        )
+class TestAgainstGenericSimulator:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=qaoa_cases())
+    def test_matches_generic_simulator(self, case):
+        problem, depth, matrix = case
+        evaluator = FastMaxCutEvaluator(problem)
+        hamiltonian = problem.cost_hamiltonian()
+        scalars = np.array([evaluator.expectation(row) for row in matrix])
+        np.testing.assert_allclose(evaluator.expectation_batch(matrix), scalars, rtol=0, atol=1e-12)
+        for row, value in zip(matrix, scalars):
+            oracle = generic_state(problem, depth, row)
+            assert value == pytest.approx(hamiltonian.expectation(oracle), abs=1e-10)
+            state = evaluator.statevector(row)
+            assert state.norm() == pytest.approx(1.0, abs=1e-12)
+            overlap = np.vdot(oracle.data, state.data)
+            np.testing.assert_allclose(state.data, oracle.data * overlap, atol=1e-10)
+
+    @pytest.mark.parametrize("weight", [1000, 1e9])
+    def test_large_integer_weights(self, weight, rng):
+        # The level table holds the distinct cut values, never more than dim
+        # of them, however large the weights.  Phases of size weight * gamma
+        # round at about 1e-16 of their size, hence the scaled tolerance.
+        problem = MaxCutProblem(Graph(4, [(0, 1, weight), (1, 2), (2, 3, 2.0), (0, 3, weight)]))
+        evaluator = FastMaxCutEvaluator(problem)
+        held = [value for value in vars(evaluator).values() if isinstance(value, np.ndarray)]
+        assert all(array.size <= evaluator.dim for array in held)
+        tolerance = 1e-10 + 1e-15 * weight
+        for depth in (1, 3):
+            vector = random_parameters(depth, rng).to_vector()
+            oracle = generic_state(problem, depth, vector)
+            state = evaluator.statevector(vector)
+            overlap = np.vdot(oracle.data, state.data)
+            np.testing.assert_allclose(state.data, oracle.data * overlap, atol=tolerance)
+            expected = problem.cost_hamiltonian().expectation(oracle)
+            assert evaluator.expectation(vector) == pytest.approx(expected, rel=tolerance)
+
+    def test_threads_sharing_one_evaluator_get_serial_values(self):
+        # More threads than cores and a short switch interval: a shared
+        # state buffer or a lost counter update would show.
+        evaluator = FastMaxCutEvaluator(MaxCutProblem(erdos_renyi_graph(10, 0.5, seed=3)))
+        chunks = [
+            np.array([random_parameters(2, 10 * t + k).to_vector() for k in range(5)])
+            for t in range(4)
+        ]
+        serial = [[evaluator.expectation(row) for row in chunk] for chunk in chunks]
+        barrier = threading.Barrier(len(chunks))
+        results = [None] * len(chunks)
+
+        def work(index):
+            barrier.wait(timeout=30)
+            results[index] = [evaluator.expectation(row) for row in chunks[index]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(chunks))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == serial
+        assert evaluator.num_evaluations == 2 * 4 * 5
+
+
+def dense_statevector(problem, parameters):
+    """The QAOA state through explicit 2^n x 2^n mixer matrices (the dense oracle)."""
+    num_qubits = problem.num_qubits
+    cost = problem.cost_diagonal()
+    amplitudes = np.full(2**num_qubits, 2 ** (-num_qubits / 2), dtype=complex)
+    for gamma, beta in zip(parameters.gammas, parameters.betas):
+        rx = np.array([[np.cos(beta), -1j * np.sin(beta)], [-1j * np.sin(beta), np.cos(beta)]])
+        mixer = functools.reduce(np.kron, [rx] * num_qubits)  # exp(-i beta sum_q X_q)
+        amplitudes = mixer @ (np.exp(-1j * gamma * cost) * amplitudes)
+    return amplitudes
 
 
 class TestFastAgainstDenseOracle:
@@ -58,43 +130,36 @@ class TestFastAgainstDenseOracle:
     def test_statevector_matches_dense(self, num_nodes, rng):
         problem = MaxCutProblem(erdos_renyi_graph(num_nodes, 0.5, seed=num_nodes))
         fast = FastMaxCutEvaluator(problem)
-        dense = DenseMaxCutEvaluator(problem)
         for _ in range(3):
             parameters = random_parameters(2, rng)
             np.testing.assert_allclose(
                 fast.statevector(parameters).data,
-                dense.statevector(parameters).data,
+                dense_statevector(problem, parameters),
                 atol=1e-10,
             )
 
     def test_expectation_matches_dense(self, small_problem, rng):
         fast = FastMaxCutEvaluator(small_problem)
-        dense = DenseMaxCutEvaluator(small_problem)
         for depth in (1, 3):
             parameters = random_parameters(depth, rng)
+            dense = np.abs(dense_statevector(small_problem, parameters)) ** 2
             assert fast.expectation(parameters) == pytest.approx(
-                dense.expectation(parameters), abs=1e-10
+                dense @ small_problem.cost_diagonal(), abs=1e-10
             )
 
-    def test_no_dense_matrix_attribute(self, small_problem):
-        # The FWHT evaluator must never materialise the 2^n x 2^n transform.
+    def test_no_dense_matrix_attribute(self, small_problem, rng):
+        # No 2^n x 2^n operator is ever materialised: the evaluator holds
+        # vectors of at most dim entries, and each thread's two buffers hold
+        # one block of at most max(dim, _BLOCK_ELEMENTS) amplitudes.
         evaluator = FastMaxCutEvaluator(small_problem)
-        held = [
-            value
-            for value in vars(evaluator).values()
-            if isinstance(value, np.ndarray)
-        ]
-        assert all(array.ndim == 1 for array in held)
-        assert all(array.size <= evaluator.dim for array in held)
-
-    def test_dense_oracle_refuses_oversized_problems(self):
-        problem = MaxCutProblem(erdos_renyi_graph(16, 0.2, seed=0))
-        with pytest.raises(SimulationError):
-            DenseMaxCutEvaluator(problem)
+        evaluator.expectation_batch(rng.uniform(0, 1, size=(300, 4)))
+        held = [value for value in vars(evaluator).values() if isinstance(value, np.ndarray)]
+        assert held and all(array.ndim == 1 and array.size <= evaluator.dim for array in held)
+        limit = max(evaluator.dim, _BLOCK_ELEMENTS)
+        assert all(buffer.size <= limit for buffer in evaluator._buffers.pair)
 
     def test_fast_ceiling_is_raised(self, small_problem):
-        # Construction succeeds with the new default ceiling; the old dense
-        # backend capped out at 20 with max_qubits and ~14 in practice.
+        # Construction succeeds up to the 26-qubit default ceiling.
         assert FastMaxCutEvaluator(small_problem, max_qubits=26) is not None
 
 
@@ -133,10 +198,11 @@ class TestExpectationBatch:
 
     def test_mixed_depth_batch_rejected(self, triangle_problem, rng):
         evaluator = FastMaxCutEvaluator(triangle_problem)
-        with pytest.raises(SimulationError):
-            evaluator.expectation_batch(
-                [random_parameters(1, rng), random_parameters(2, rng)]
-            )
+        mixed = [random_parameters(1, rng), random_parameters(2, rng)]
+        with pytest.raises(ConfigurationError):
+            evaluator.expectation_batch(mixed)
+        with pytest.raises(ConfigurationError):
+            evaluator.statevector_batch(mixed)
 
     def test_cost_evaluator_batch_both_backends_agree(self, triangle_problem, rng):
         matrix = np.array([random_parameters(2, rng).to_vector() for _ in range(3)])

@@ -386,7 +386,7 @@ class TestFastBackendNoise:
     def test_matches_circuit_backend_trajectory(self):
         """Seeded ``"fast"`` and ``"circuit"`` contexts return the same bits.
 
-        The FWHT program hands noise trajectories to the compiled engine, so
+        The fast program hands noise trajectories to the compiled engine, so
         the same noise model, trajectories and rng give bit-identical
         values on both backends: scalar and batch, with and without shots.
         """
@@ -411,7 +411,7 @@ class TestFastBackendNoise:
             assert fast[0] != exact  # the noise really was sampled
 
     def test_trajectory_engine_accepts_every_fast_register(self):
-        """The delegate's register ceiling is the FWHT's, not the engine's."""
+        """The delegate's register ceiling is the fast path's, not the engine's."""
         program = FastBackend().compile(_problem(), 1)
         program.noisy_probabilities(
             np.array([0.4, 0.3]), NoiseModel.uniform_depolarizing(0.05), 0

@@ -97,6 +97,14 @@ class TestJobLifecycle:
             submit(service, problem)
         assert service.metrics.to_dict()["jobs"]["submitted"] == 0
 
+    @pytest.mark.parametrize("value", ["2", 1.5, 0])
+    @pytest.mark.parametrize("option", ["num_restarts", "candidate_pool"])
+    def test_bad_solve_option_refused_at_submit(self, service, problem, option, value):
+        with pytest.raises(ConfigurationError, match=option):
+            service.submit(problem, 1, seed=1, **{option: value})
+        jobs = service.metrics.to_dict()["jobs"]
+        assert jobs["submitted"] == 0 and jobs["failed"] == 0
+
     def test_result_wait_timeout(self, service):
         release = threading.Event()
         handle = service.submit_callable(lambda: release.wait(30))
